@@ -62,6 +62,21 @@ consults the active :class:`~repro.faults.FaultPlan` at dispatch time,
 keyed by ``(op, rank, per-rank dispatch index)``, and ships the matched
 directive with the task so the worker kills itself / raises / sleeps /
 drops its result at a deterministic, replayable point.
+
+CPU budget
+----------
+While any forked pool is open, the parent runs BLAS single-threaded, and
+so does every rank, because ranks (respawns included) fork from that
+state.  OpenBLAS otherwise starts one thread per CPU in every process, and
+its idle threads busy-wait on the cores the ranks need: two ranks with two
+BLAS threads each ran data-parallel training at about half the serial rate
+on 2 CPUs.  One thread is enough because the matrices are
+``embed_dim``-sized; serial training ran equally fast with 1 and 2.  Open
+forked pools are reference-counted (a serving scoring pool and a
+:class:`~repro.parallel.evaluation.ParallelEvaluator` can overlap), and
+the last :meth:`WorkerPool.close` restores the parent's previous count.
+Inline pools never touch it.  Without a mapped OpenBLAS the pin is a
+no-op (see :mod:`repro.parallel.blas`).
 """
 
 from __future__ import annotations
@@ -78,6 +93,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultInjected, FaultPlan, active_plan
 from repro.obs import get_registry
+from repro.parallel import blas
 from repro.utils.seeding import worker_rng
 
 #: Handed to forked children by COW inheritance; set only inside
@@ -89,6 +105,11 @@ _FORK_CONTEXT: Optional[Dict[str, Any]] = None
 #: supervisor respawn racing another pool's start — would otherwise race
 #: on the module global and could fork a child with the *wrong* context.
 _FORK_LOCK = threading.Lock()
+
+#: Forked pools currently open, and the parent's BLAS thread count from
+#: before the first of them pinned it to one; both guarded by _FORK_LOCK.
+_OPEN_FORKED_POOLS = 0
+_SAVED_BLAS_THREADS: Optional[int] = None
 
 #: Registered operations: name -> fn(state, payload).
 _OPS: Dict[str, Callable[[Dict[str, Any], Any], Any]] = {}
@@ -129,6 +150,23 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def _budget_cpus(opening: bool) -> None:
+    """Count a forked pool in or out; the first in pins the parent's BLAS
+    to one thread, the last out restores the count it found."""
+    global _OPEN_FORKED_POOLS, _SAVED_BLAS_THREADS
+    with _FORK_LOCK:
+        if opening:
+            if _OPEN_FORKED_POOLS == 0:
+                _SAVED_BLAS_THREADS = blas.get_threads()
+                blas.set_threads(1)
+            _OPEN_FORKED_POOLS += 1
+        else:
+            _OPEN_FORKED_POOLS -= 1
+            if _OPEN_FORKED_POOLS == 0 and _SAVED_BLAS_THREADS is not None:
+                blas.set_threads(_SAVED_BLAS_THREADS)
+                _SAVED_BLAS_THREADS = None
 
 
 def _pin_rngs(value: Any, seed: int, rank: int, counter: List[int]) -> None:
@@ -293,7 +331,12 @@ class WorkerPool:
         # thread and a direct session.score) must serialise here.
         self._run_lock = threading.Lock()
         if not self._inline:
-            self._start_processes()
+            _budget_cpus(opening=True)
+            try:
+                self._start_processes()
+            except BaseException:
+                self.close()
+                raise
 
     # ------------------------------------------------------------------
     def _start_processes(self) -> None:
@@ -625,6 +668,8 @@ class WorkerPool:
         for resource in self._resources:
             resource.close()
         self._resources = []
+        if not self._inline:
+            _budget_cpus(opening=False)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -9,6 +9,9 @@ offline evaluation protocol's scoring path.
 
 from __future__ import annotations
 
+import http.client
+import io
+import json
 import threading
 import urllib.request
 
@@ -34,6 +37,7 @@ from repro.serve import (
     ServingConfig,
     ServingServer,
 )
+from repro.serve.server import _Handler
 from repro.train import (
     CheckpointMismatchError,
     TrainingConfig,
@@ -651,6 +655,90 @@ class TestMetricsEndpoint:
             assert snap["counters"]["serve.cache.misses"] == len(triples)
         finally:
             app.close()
+
+
+class _RecordingSocket:
+    """Socket stand-in: serves canned request bytes, records each send."""
+
+    def __init__(self, requests: bytes) -> None:
+        self._requests = requests
+        self.sends = []
+
+    def makefile(self, mode, buffering=None):
+        return io.BytesIO(self._requests)
+
+    def sendall(self, data):
+        self.sends.append(bytes(data))
+
+
+class TestHTTPResponseWrites:
+    """Each response leaves in one socket write: headers and body sent
+    apart make a keep-alive client wait ~40 ms for the delayed ACK."""
+
+    RESPONSES = {
+        "/ok": (200, {"scores": [0.25]}),
+        "/missing": (404, {"error": "no route for GET /missing"}),
+        "/busy": (503, {"error": "queue full", "retry_after": 0.2}),
+    }
+
+    def _serve(self, raw: bytes):
+        responses = self.RESPONSES
+
+        class StubApp:
+            def handle(self, method, path, payload):
+                return responses[path]
+
+        handler = type("_StubHandler", (_Handler,), {"app": StubApp()})
+        sock = _RecordingSocket(raw)
+        handler(sock, ("127.0.0.1", 0), None)
+        return sock.sends
+
+    @pytest.mark.parametrize(
+        "method,path", [("POST", "/ok"), ("GET", "/missing"), ("GET", "/busy")]
+    )
+    def test_one_write_per_response(self, method, path):
+        body = b'{"triples": [[0, 0, 1]]}' if method == "POST" else b""
+        request = (
+            f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        sends = self._serve(request * 2)  # two requests on one connection
+        assert len(sends) == 2
+        status, expected = self.RESPONSES[path]
+        for sent in sends:
+            head, payload = sent.split(b"\r\n\r\n", 1)
+            lines = head.decode().split("\r\n")
+            assert lines[0].startswith(f"HTTP/1.1 {status} ")
+            headers = dict(line.split(": ", 1) for line in lines[1:])
+            assert int(headers["Content-Length"]) == len(payload)
+            assert json.loads(payload) == expected
+            if status == 503:
+                assert headers["Retry-After"] == "1"
+
+    def test_keep_alive_connection_serves_two_requests(self, family_graph):
+        app = ServingApp(
+            _registry(family_graph), family_graph, ServingConfig(default_model="rmpi")
+        )
+        with ServingServer(app) as server:
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+            try:
+                conn.request("GET", "/health")
+                first = conn.getresponse()
+                health = json.loads(first.read())
+                sock = conn.sock
+                conn.request(
+                    "POST",
+                    "/score",
+                    body=json.dumps({"triples": [[0, 0, 1], [2, 1, 0]]}),
+                    headers={"Content-Type": "application/json"},
+                )
+                second = conn.getresponse()
+                scores = json.loads(second.read())
+                assert conn.sock is sock  # no reconnect in between
+            finally:
+                conn.close()
+        assert first.status == 200 and health["status"] == "ok"
+        assert second.status == 200 and len(scores["scores"]) == 2
 
 
 # ----------------------------------------------------------------------
