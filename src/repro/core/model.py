@@ -8,7 +8,7 @@ Scoring pipeline for a target triple ``(u, r_t, v)``:
    message passing layers (§III-C), with target-aware attention when the TA
    variant is on;
 3. (NE variant) aggregate the disclosing subgraph's one-hop relational
-   neighborhood (§III-F);
+   neighborhood (§III-F), read straight from the graph's CSR incidence;
 4. score via eq. 11, or the fusion heads eq. 15/16.
 
 Unseen relations need no special casing at inference: their initial
@@ -41,7 +41,7 @@ from repro.subgraph.extraction import extract_subgraphs_many
 from repro.subgraph.labeling import encode_labels, label_feature_dim
 from repro.subgraph.linegraph import (
     build_relational_graphs_many,
-    target_one_hop_relations,
+    target_one_hop_relations_many,
 )
 from repro.subgraph.pruning import MessagePlan, build_message_plans_many
 
@@ -121,35 +121,33 @@ class RMPI(SubgraphScoringModel):
     def prepare_many(self, graph: KnowledgeGraph, triples) -> list:
         """Batched sample construction: shared numpy passes end to end.
 
-        Enclosing (and, for the NE variant, disclosing) subgraphs for the
-        whole batch come from :func:`extract_subgraphs_many`, so the 50
-        candidates of one ranking query share their K-hop frontier BFS; the
-        relation-view transforms and Algorithm-1 plan compilations likewise
-        run through the batched :func:`build_relational_graphs_many` /
-        :func:`build_message_plans_many` kernels in one pass each.
+        Enclosing subgraphs for the whole batch come from
+        :func:`extract_subgraphs_many`, so the 50 candidates of one ranking
+        query share their K-hop frontier BFS; the relation-view transforms
+        and Algorithm-1 plan compilations likewise run through the batched
+        :func:`build_relational_graphs_many` /
+        :func:`build_message_plans_many` kernels in one pass each.  The NE
+        variant needs only the target's one-hop relational neighbourhood in
+        the disclosing subgraph (eq. 13), which
+        :func:`target_one_hop_relations_many` reads straight from the
+        graph's CSR incidence in one pass for the batch; no disclosing
+        subgraph is extracted.
         """
         triples = [tuple(int(x) for x in triple) for triple in triples]
         enclosings = extract_subgraphs_many(
             graph, triples, self.config.num_hops, kind="enclosing"
         )
-        disclosings = (
-            extract_subgraphs_many(
-                graph, triples, self.config.num_hops, kind="disclosing"
-            )
+        neighbourhoods: list = (
+            target_one_hop_relations_many(graph, triples)
             if self.config.use_disclosing
             else [None] * len(triples)
         )
         relationals = build_relational_graphs_many(enclosings)
         plans = build_message_plans_many(relationals, self.config.num_layers)
         samples: list = []
-        for triple, enclosing, disclosing, plan in zip(
-            triples, enclosings, disclosings, plans
+        for triple, enclosing, disclosing_relations, plan in zip(
+            triples, enclosings, neighbourhoods, plans
         ):
-            disclosing_relations: Optional[np.ndarray] = None
-            if disclosing is not None:
-                disclosing_relations = np.asarray(
-                    target_one_hop_relations(disclosing), dtype=np.int64
-                )
             entity_clue: Optional[np.ndarray] = None
             if self.config.use_entity_clues:
                 # Entity-side evidence (future-work item 2): mean double-radius

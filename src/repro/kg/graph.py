@@ -333,6 +333,26 @@ class KnowledgeGraph:
             ]
         return self._incident_lists[entity]
 
+    def incident_edge_id_arrays(
+        self, entities: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`incident_edges`: ``(edge_ids, counts)``.
+
+        ``edge_ids`` concatenates the CSR rows of ``entities`` in input
+        order; the ``counts[i]`` entries for ``entities[i]`` are sorted by
+        edge id, and a self-loop appears once in its entity's row.  Ids
+        outside ``[0, num_entities)`` raise the same ``ValueError`` as
+        :meth:`incident_edges`, naming the first offender.
+        """
+        entities = np.asarray(entities, dtype=np.int64).reshape(-1)
+        bad = (entities < 0) | (entities >= self.num_entities)
+        if bad.any():
+            self._check_entity(int(entities[int(np.argmax(bad))]))
+        self._ensure_csr()
+        indptr = self._csr_indptr
+        counts = indptr[entities + 1] - indptr[entities]
+        return self._gather_csr(entities, self._csr_edge_ids), counts
+
     def degree(self, entity: int) -> int:
         entity = self._check_entity(entity)
         self._ensure_csr()

@@ -24,6 +24,7 @@ from repro.subgraph.linegraph import (
     connection_types,
     legacy_build_relational_graph,
     target_one_hop_relations,
+    target_one_hop_relations_many,
 )
 from repro.subgraph.pruning import (
     LayerPlan,
@@ -52,6 +53,7 @@ __all__ = [
     "legacy_build_relational_graph",
     "connection_types",
     "target_one_hop_relations",
+    "target_one_hop_relations_many",
     "NUM_EDGE_TYPES",
     "EDGE_TYPE_NAMES",
     "LayerPlan",

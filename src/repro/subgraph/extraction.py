@@ -9,7 +9,11 @@ Given a target triple ``(u, r_t, v)``:
 * the **disclosing** subgraph is induced by ``N_K(u) ∪ N_K(v)`` and is used
   to rescue triples whose enclosing subgraph is empty (§III-F).  Entities
   left with no surviving edge are pruned (the targets always stay), so the
-  entity set never contains isolated non-target nodes.
+  entity set never contains isolated non-target nodes.  RMPI-NE reads only
+  the target's one-hop relations of it, and does so without extracting it:
+  :func:`repro.subgraph.linegraph.target_one_hop_relations_many` takes them
+  straight from the graph's CSR incidence.  ``kind="disclosing"`` stays as
+  the public API and the tests' oracle for that shortcut.
 
 The target edge itself (every copy of ``(u, r, v)`` with the target
 relation) is removed from the extracted edge set so the model cannot read

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.triples import Triple
 from repro.obs import span
 from repro.subgraph.extraction import ExtractedSubgraph
@@ -427,3 +428,41 @@ def target_one_hop_relations(subgraph: ExtractedSubgraph) -> List[int]:
     heads, tails = arr[:, 0], arr[:, 2]
     mask = (heads == u) | (tails == u) | (heads == v) | (tails == v)
     return arr[mask, 1].tolist()
+
+
+def target_one_hop_relations_many(
+    graph: KnowledgeGraph, triples: Sequence[Triple]
+) -> List[np.ndarray]:
+    """Batched NE neighbourhoods read straight from the CSR incidence.
+
+    For each target ``(u, r, v)`` returns the relations of the edges of
+    ``graph`` incident to ``u`` or ``v``, each edge once and in edge-id
+    order, with every copy of the target fact dropped.  For any
+    ``num_hops >= 1`` this equals ``target_one_hop_relations`` of the
+    K-hop disclosing subgraph: an edge touching ``u`` has both endpoints
+    in ``N_K(u)``, so the union induction always keeps it, and the
+    disclosing subgraph lists its edges in edge-id order too.  One shared
+    gather and sort serve the whole batch instead of one union
+    extraction (two BFS passes included) per target.
+
+    Returns one read-only int64 array per target (slices of one batch
+    array).  Entity ids outside the graph raise ``ValueError``.
+    """
+    targets = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    count = len(targets)
+    if count == 0:
+        return []
+    with span("prepare.disclosing"):
+        edge_ids, row_counts = graph.incident_edge_id_arrays(targets[:, [0, 2]])
+        sample = np.repeat(np.arange(count, dtype=np.int64).repeat(2), row_counts)
+        # One packed-key sort restores edge-id order per target and drops the
+        # second entry of an edge touching both u and v (or of a u == v row).
+        num_edges = len(graph.triples)
+        keys = np.unique(sample * num_edges + edge_ids)
+        sample, edge_ids = np.divmod(keys, num_edges)
+        rows = graph.triples.array[edge_ids]
+        keep = (rows != targets[sample]).any(axis=1)
+        relations = rows[keep, 1]
+        relations.setflags(write=False)
+        bounds = np.searchsorted(sample[keep], np.arange(count + 1, dtype=np.int64))
+        return [relations[bounds[i] : bounds[i + 1]] for i in range(count)]

@@ -1,5 +1,6 @@
 """KnowledgeGraph tests: adjacency, K-hop BFS, induced subgraphs."""
 
+import numpy as np
 import pytest
 
 from repro.kg import KnowledgeGraph, TripleSet
@@ -48,6 +49,27 @@ class TestAdjacency:
 
     def test_relations_of(self, chain_graph):
         assert chain_graph.relations_of(2) == {0, 1}
+
+    def test_incident_edge_id_arrays_concatenates_rows(self):
+        g = KnowledgeGraph.from_triples(
+            [(0, 0, 1), (1, 1, 1), (2, 0, 1), (0, 1, 1), (1, 0, 0)]
+        )
+        entities = [1, 0, 1, 2]
+        edge_ids, counts = g.incident_edge_id_arrays(entities)
+        expected = [e for entity in entities for e in g.incident_edges(entity)]
+        assert edge_ids.tolist() == expected
+        assert counts.tolist() == [g.degree(entity) for entity in entities]
+        assert edge_ids.dtype == counts.dtype == np.int64
+
+    def test_incident_edge_id_arrays_empty_and_invalid(self, chain_graph):
+        edge_ids, counts = chain_graph.incident_edge_id_arrays([])
+        assert edge_ids.size == 0 and counts.size == 0
+        for entities, first_bad in (([0, 5, -1], 5), ([-1, 5], -1)):
+            with pytest.raises(ValueError) as caught:
+                chain_graph.incident_edge_id_arrays(entities)
+            with pytest.raises(ValueError) as reference:
+                chain_graph.incident_edges(first_bad)
+            assert str(caught.value) == str(reference.value)
 
     def test_entity_pair_relations(self):
         g = KnowledgeGraph.from_triples([(0, 0, 1), (0, 1, 1), (1, 0, 0)])

@@ -7,9 +7,10 @@ The numpy pairing kernel behind ``build_relational_graph`` /
 (target first, then subgraph triples in order), same deduplicated sorted
 edge rows, same BFS hops, same per-layer schedules — on arbitrary
 subgraphs, including self-loops, parallel edges (PARA/LOOP subsumption),
-empty subgraphs, and disconnected targets.  A final class asserts fused
-batched scoring stays equal to per-sample scoring through the new prepare
-path.
+empty subgraphs, and disconnected targets.  The batched NE neighbourhood
+read from CSR incidence must equal the one-hop relations of the extracted
+disclosing subgraph.  A final class asserts fused batched scoring stays
+equal to per-sample scoring through the new prepare path.
 """
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.subgraph import (
     legacy_build_relational_graph,
     legacy_incoming_hops,
     target_one_hop_relations,
+    target_one_hop_relations_many,
 )
 
 
@@ -171,6 +173,98 @@ class TestRelationalGraphEquivalence:
             r for h, r, t in sub.triples if h == u or t == u or h == v or t == v
         ]
         assert target_one_hop_relations(sub) == expected
+
+
+def multigraph(seed: int) -> KnowledgeGraph:
+    """A random graph whose triple rows keep repeats: self-loops, parallel
+    edges, facts stored more than once and reversed facts all occur."""
+    rng = np.random.default_rng(seed)
+    num_entities = int(rng.integers(2, 12))
+    num_relations = int(rng.integers(1, 5))
+
+    def entity() -> int:
+        return int(rng.integers(num_entities))
+
+    def relation() -> int:
+        return int(rng.integers(num_relations))
+
+    rows = [(entity(), relation(), entity()) for _ in range(int(rng.integers(0, 30)))]
+    rows += [(e, relation(), e) for e in (entity(), entity())]  # self-loops
+    for h, _r, t in rows[:3]:
+        rows.append((h, relation(), t))  # parallel edges
+    rows += [(t, r, h) for h, r, t in rows[:3]]  # reversed facts
+    rows += rows[:4]  # facts stored twice
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    return KnowledgeGraph(TripleSet(rows), num_entities, num_relations)
+
+
+def ne_oracle(graph, target, hops):
+    """The old NE path: one-hop relations of the extracted disclosing
+    subgraph."""
+    sub = extract_disclosing_subgraph(graph, target, hops)
+    return np.asarray(target_one_hop_relations(sub), dtype=np.int64)
+
+
+class TestTargetOneHopRelationsMany:
+    @given(seed=st.integers(0, 600), hops=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_disclosing_extraction(self, seed, hops):
+        graph = multigraph(seed)
+        rng = np.random.default_rng(seed + 1)
+        facts = [tuple(int(x) for x in row) for row in graph.triples.array]
+        head = int(rng.integers(graph.num_entities))
+        relation = int(rng.integers(graph.num_relations))
+        targets = [(head, relation, e) for e in range(graph.num_entities)]
+        targets += facts[:6]  # includes the facts stored twice
+        targets += [(t, r, h) for h, r, t in facts[:3]]  # reversed
+        targets += [(e, relation, e) for e in (head, int(rng.integers(graph.num_entities)))]
+        got = target_one_hop_relations_many(graph, targets)
+        assert len(got) == len(targets)
+        for target, relations in zip(targets, got):
+            expected = ne_oracle(graph, target, hops)
+            assert relations.dtype == np.int64 and relations.ndim == 1
+            assert relations.tolist() == expected.tolist()
+            assert not relations.flags.writeable
+
+    def test_repeated_target_fact_and_reversal(self):
+        # Edges: 0 (0,0,1) target, 1 (1,1,2), 2 (0,0,1) second copy,
+        # 3 (1,0,0) reversed target, 4 (0,2,0) self-loop, 5 (0,3,1) parallel.
+        g = KnowledgeGraph.from_triples(
+            [(0, 0, 1), (1, 1, 2), (0, 0, 1), (1, 0, 0), (0, 2, 0), (0, 3, 1)]
+        )
+        targets = [(0, 0, 1), (1, 0, 0), (0, 2, 0), (2, 1, 2)]
+        got = target_one_hop_relations_many(g, targets)
+        assert [r.tolist() for r in got] == [[1, 0, 2, 3], [0, 1, 0, 2, 3], [0, 0, 0, 3], [1]]
+        for target, relations in zip(targets, got):
+            for hops in (1, 2, 3):
+                assert relations.tolist() == ne_oracle(g, target, hops).tolist()
+
+    def test_empty_batch(self):
+        g = KnowledgeGraph.from_triples([(0, 0, 1)])
+        assert target_one_hop_relations_many(g, []) == []
+        assert target_one_hop_relations_many(g, np.empty((0, 3), dtype=np.int64)) == []
+
+    def test_edgeless_graph(self):
+        g = KnowledgeGraph(TripleSet([]), 3, 2)
+        got = target_one_hop_relations_many(g, [(0, 1, 2), (1, 0, 1)])
+        assert [r.tolist() for r in got] == [[], []]
+        assert all(r.dtype == np.int64 for r in got)
+
+    @pytest.mark.parametrize(
+        "targets, bad",
+        [
+            ([(0, 0, 1), (0, 0, 3)], 3),
+            ([(0, 0, 1), (-1, 0, 1)], -1),
+            ([(7, 0, -2)], 7),
+        ],
+    )
+    def test_out_of_range_ids_raise(self, targets, bad):
+        g = KnowledgeGraph.from_triples([(0, 0, 1), (1, 1, 2)])
+        with pytest.raises(ValueError) as caught:
+            target_one_hop_relations_many(g, targets)
+        with pytest.raises(ValueError) as reference:
+            g.incident_edges(bad)
+        assert str(caught.value) == str(reference.value)
 
 
 class TestMessagePlanEquivalence:

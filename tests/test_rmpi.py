@@ -1,5 +1,7 @@
 """RMPI model tests: variants, layers, NE, scoring, unseen relations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.layers import RelationalMessagePassingLayer
 from repro.core.scoring import ScoringHead
 from repro.autograd import Tensor
 from repro.kg import KnowledgeGraph
+from repro.subgraph import extract_disclosing_subgraph, target_one_hop_relations
 
 
 @pytest.fixture
@@ -203,3 +206,59 @@ class TestScoringHead:
     def test_invalid_fusion(self):
         with pytest.raises(ValueError):
             ScoringHead(4, np.random.default_rng(0), fusion="bogus")
+
+
+class TestNEParity:
+    """``prepare_many`` reads the NE neighbourhood from CSR incidence; it
+    must match the disclosing-subgraph extraction it replaced, and so must
+    every score computed from it."""
+
+    @staticmethod
+    def ranking_list(graph):
+        h, r, t = (int(x) for x in graph.triples.array[0])
+        tails = [t] + [e for e in range(graph.num_entities) if e != t][:49]
+        return [(h, r, e) for e in tails]
+
+    @pytest.mark.parametrize("fusion", ["sum", "gated"])
+    def test_samples_and_scores_match_disclosing_reference(
+        self, tiny_partial_benchmark, fusion
+    ):
+        graph = tiny_partial_benchmark.test_graph
+        num_relations = tiny_partial_benchmark.num_relations
+        config = RMPIConfig(embed_dim=16, use_disclosing=True, fusion=fusion)
+        candidates = self.ranking_list(graph)
+        assert len(candidates) == 50
+
+        model = RMPI(num_relations, np.random.default_rng(0), config)
+        samples = model.prepare_many(graph, candidates)
+        expected = [
+            np.asarray(
+                target_one_hop_relations(
+                    extract_disclosing_subgraph(graph, t, config.num_hops)
+                ),
+                dtype=np.int64,
+            )
+            for t in candidates
+        ]
+        assert sum(len(e) for e in expected) > 0
+        for sample, reference in zip(samples, expected):
+            relations = sample.disclosing_relations
+            assert relations.dtype == np.int64 and relations.ndim == 1
+            assert np.array_equal(relations, reference)
+            assert not relations.flags.writeable
+
+        # The reference model has the same weights and scores samples that
+        # carry the extraction-built neighbourhoods.
+        reference_model = RMPI(num_relations, np.random.default_rng(0), config)
+        reference_model.install_samples(
+            graph,
+            candidates,
+            [
+                dataclasses.replace(s, disclosing_relations=e)
+                for s, e in zip(samples, expected)
+            ],
+        )
+        for score in ("score_triples_fused", "score_triples"):
+            got = getattr(model, score)(graph, candidates)
+            want = getattr(reference_model, score)(graph, candidates)
+            assert np.array_equal(got, want), score
