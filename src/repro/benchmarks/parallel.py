@@ -1,19 +1,9 @@
-"""Workload ``parallel``: sharded prepare + parameter-broadcast A/B.
+"""Workload ``parallel``: sharded prepare against the serial path.
 
-Two sections share one record:
-
-* **prepare** — :class:`repro.parallel.prepare.ShardedPreparer` against
-  the serial ``prepare_many`` path on the same candidate workload.  On
-  boxes without enough usable CPUs the speedup is informational
-  (fork+IPC overhead can exceed the win), so only the absolute times
-  carry regression thresholds.
-* **train backend A/B** — one data-parallel training run per parameter
-  transport (``pickle`` vs ``shm``), same seed, same worker count.  The
-  record archives both wall-clocks and the per-batch broadcast payload
-  sizes; two invariants are asserted outright rather than thresholded:
-  the two backends' checkpoints (and loss curves) must be **bitwise
-  identical**, and the zero-copy stamp must shrink the per-batch
-  broadcast by at least 100x.
+:class:`repro.parallel.prepare.ShardedPreparer` against the serial
+``prepare_many`` path on the same candidate workload.  On boxes without
+enough usable CPUs the speedup is informational (fork+IPC overhead can
+exceed the win), so only the absolute times carry regression thresholds.
 
 ``workers`` is an environment fact (``direction="fact"``): running on a
 different worker count is a different experiment, never a regression.
@@ -21,106 +11,23 @@ different worker count is a different experiment, never a regression.
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Dict, Tuple
 
-import numpy as np
-
 from repro.benchmarks.records import MetricSpec
-from repro.benchmarks.timing import best_of, timed
+from repro.benchmarks.timing import best_of
 from repro.core import RMPI, RMPIConfig
 from repro.experiments import bench_settings
 from repro.kg import build_partial_benchmark, ranking_candidates
 from repro.parallel.pool import fork_available, usable_cpus
 from repro.parallel.prepare import ShardedPreparer
-from repro.parallel.trainer import DataParallelTrainer
-from repro.train.trainer import ParallelConfig, TrainingConfig
 from repro.utils.seeding import seeded_rng
-
-#: Floor asserted on the pickle→shm per-batch broadcast size reduction.
-BROADCAST_REDUCTION_FLOOR = 100.0
 
 SPECS: Dict[str, MetricSpec] = {
     "serial_s": MetricSpec("lower"),
     "parallel_s": MetricSpec("lower"),
     "speedup": MetricSpec("higher", threshold_pct=None),
     "workers": MetricSpec("fact", threshold_pct=None),
-    "train_pickle_s": MetricSpec("lower", threshold_pct=None),
-    "train_shm_s": MetricSpec("lower", threshold_pct=None),
-    "train_speedup_shm": MetricSpec("higher", threshold_pct=None),
-    "broadcast_pickle_bytes": MetricSpec("lower", threshold_pct=None),
-    "broadcast_shm_bytes": MetricSpec("lower", threshold_pct=None),
-    "broadcast_reduction": MetricSpec("higher", threshold_pct=None),
 }
-
-
-def _train_backend_ab(
-    bench: Any, workers: int, smoke: bool
-) -> Dict[str, float]:
-    """One training run per transport backend; asserts bitwise parity and
-    the zero-copy broadcast floor, returns the A/B metrics."""
-    epochs = 1 if smoke else 2
-    max_triples = 16 if smoke else 64
-
-    def run_backend(backend: str) -> Tuple[float, Dict[str, np.ndarray], list]:
-        model = RMPI(
-            bench.num_relations,
-            seeded_rng(7),
-            RMPIConfig(embed_dim=16, dropout=0.0),
-        )
-        config = TrainingConfig(
-            epochs=epochs,
-            batch_size=8,
-            seed=3,
-            max_triples_per_epoch=max_triples,
-            parallel=ParallelConfig(workers=workers, backend=backend),
-        )
-        trainer = DataParallelTrainer(
-            model, bench.train_graph, bench.train_triples, config=config
-        )
-        elapsed, history = timed(trainer.fit, name="bench.parallel.train")
-        return elapsed, model.state_dict(), list(history.losses)
-
-    pickle_s, pickle_state, pickle_losses = run_backend("pickle")
-    shm_s, shm_state, shm_losses = run_backend("shm")
-
-    # Bitwise parity is a hard gate, not a thresholded metric: the two
-    # backends run the same values through the same ops.
-    if pickle_losses != shm_losses:
-        raise RuntimeError(
-            f"backend loss curves diverged: pickle={pickle_losses} "
-            f"shm={shm_losses}"
-        )
-    for name, array in pickle_state.items():
-        if not np.array_equal(array, shm_state[name]):
-            raise RuntimeError(
-                f"checkpoint parameter {name!r} differs between pickle and "
-                "shm backends (expected bitwise identity)"
-            )
-
-    # Per-batch broadcast payloads, measured on the real dispatch shapes.
-    proto = pickle.HIGHEST_PROTOCOL
-    pickle_bytes = len(
-        pickle.dumps({"backend": "pickle", "params": pickle_state}, protocol=proto)
-    )
-    shm_bytes = len(
-        pickle.dumps({"backend": "shm", "param_version": 1}, protocol=proto)
-    )
-    reduction = pickle_bytes / shm_bytes
-    if reduction < BROADCAST_REDUCTION_FLOOR:
-        raise RuntimeError(
-            f"zero-copy broadcast reduction {reduction:.1f}x is below the "
-            f"{BROADCAST_REDUCTION_FLOOR:.0f}x floor "
-            f"({pickle_bytes} -> {shm_bytes} bytes)"
-        )
-    return {
-        "train_pickle_s": pickle_s,
-        "train_shm_s": shm_s,
-        "train_speedup_shm": pickle_s / shm_s if shm_s else 0.0,
-        "broadcast_pickle_bytes": float(pickle_bytes),
-        "broadcast_shm_bytes": float(shm_bytes),
-        "broadcast_reduction": reduction,
-    }
 
 
 def run(smoke: bool) -> Tuple[Dict[str, float], Dict[str, Any]]:
@@ -179,7 +86,6 @@ def run(smoke: bool) -> Tuple[Dict[str, float], Dict[str, Any]]:
         "speedup": serial_s / parallel_s if parallel_s else 0.0,
         "workers": float(workers),
     }
-    metrics.update(_train_backend_ab(bench, workers, smoke))
     info = {
         "family": "FB15k-237",
         "scale": settings.scale,
@@ -187,6 +93,5 @@ def run(smoke: bool) -> Tuple[Dict[str, float], Dict[str, Any]]:
         "usable_cpus": usable_cpus(),
         "fork_available": fork_available(),
         "repeats": repeats,
-        "broadcast_reduction_floor": BROADCAST_REDUCTION_FLOOR,
     }
     return metrics, info

@@ -54,13 +54,6 @@ def _add_training(parser: argparse.ArgumentParser) -> None:
         help="worker processes for training batches and eval ranking "
         "(1 = serial; see README 'Parallel execution')",
     )
-    parser.add_argument(
-        "--parallel-backend", default="auto", choices=["auto", "pickle", "shm"],
-        help="parameter transport for data-parallel training: pickle ships "
-        "the state dict in every payload, shm publishes weights to a "
-        "shared-memory segment (zero-copy broadcast, bitwise-identical "
-        "results); auto reads REPRO_PARALLEL_BACKEND (default pickle)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,19 +154,23 @@ def cmd_stats(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
+def _training_config(args: argparse.Namespace) -> TrainingConfig:
+    return TrainingConfig(
+        epochs=args.epochs,
+        seed=args.seed,
+        max_triples_per_epoch=args.max_triples,
+        parallel=ParallelConfig(workers=args.workers),
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> str:
+    # Built first so a bad flag fails before the benchmark is generated.
+    config = _training_config(args)
     benchmark = build_partial_benchmark(args.family, args.version, args.scale, args.seed)
     result = run_experiment(
         benchmark,
         args.model,
-        TrainingConfig(
-            epochs=args.epochs,
-            seed=args.seed,
-            max_triples_per_epoch=args.max_triples,
-            parallel=ParallelConfig(
-                workers=args.workers, backend=args.parallel_backend
-            ),
-        ),
+        config,
         seed=args.seed,
         use_schema=args.schema,
         fusion=args.fusion,
@@ -184,6 +181,7 @@ def cmd_run(args: argparse.Namespace) -> str:
 
 
 def cmd_full(args: argparse.Namespace) -> str:
+    config = _training_config(args)
     benchmark = build_full_benchmark(
         args.family, args.train_version, args.test_version, args.scale, args.seed
     )
@@ -191,14 +189,7 @@ def cmd_full(args: argparse.Namespace) -> str:
         benchmark,
         args.model,
         args.setting,
-        TrainingConfig(
-            epochs=args.epochs,
-            seed=args.seed,
-            max_triples_per_epoch=args.max_triples,
-            parallel=ParallelConfig(
-                workers=args.workers, backend=args.parallel_backend
-            ),
-        ),
+        config,
         seed=args.seed,
         use_schema=args.schema,
         fusion=args.fusion,

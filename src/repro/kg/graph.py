@@ -248,62 +248,6 @@ class KnowledgeGraph:
             np.cumsum(np.bincount(src, minlength=self.num_entities), out=indptr[1:])
         self._csr_indptr = indptr
 
-    def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The CSR adjacency as ``(indptr, indices, edge_ids)``, building
-        it on demand.
-
-        This is the export half of the zero-copy contract used by
-        :class:`repro.parallel.shm.SharedGraphCSR`: callers may copy these
-        arrays into shared storage and hand equivalent views back through
-        :meth:`adopt_csr`.
-        """
-        self._ensure_csr()
-        assert self._csr_indptr is not None  # _ensure_csr() built them
-        assert self._csr_indices is not None
-        assert self._csr_edge_ids is not None
-        return self._csr_indptr, self._csr_indices, self._csr_edge_ids
-
-    def adopt_csr(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        edge_ids: np.ndarray,
-    ) -> None:
-        """Install externally-stored CSR arrays (e.g. shared-memory views)
-        as this graph's adjacency index.
-
-        The arrays must describe the same graph the builder would produce:
-        ``indptr`` has ``num_entities + 1`` monotone entries and
-        ``indices``/``edge_ids`` are equal-length int64 arrays covering
-        ``indptr[-1]`` adjacency slots.  Only shape/dtype invariants are
-        validated — content equality is the caller's contract (the shm
-        layer copies the builder's own arrays, so it holds by
-        construction).  Derived caches (incident lists) are dropped so
-        they rebuild from the adopted arrays.
-        """
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        edge_ids = np.asarray(edge_ids, dtype=np.int64)
-        if indptr.shape != (self.num_entities + 1,):
-            raise ValueError(
-                f"indptr must have shape ({self.num_entities + 1},), "
-                f"got {indptr.shape}"
-            )
-        if indices.shape != edge_ids.shape or indices.ndim != 1:
-            raise ValueError(
-                "indices and edge_ids must be equal-length 1-D arrays, got "
-                f"{indices.shape} and {edge_ids.shape}"
-            )
-        if int(indptr[0]) != 0 or int(indptr[-1]) != indices.shape[0]:
-            raise ValueError(
-                "indptr does not cover the adjacency arrays: spans "
-                f"[{int(indptr[0])}, {int(indptr[-1])}] over {indices.shape[0]} slots"
-            )
-        self._csr_indptr = indptr
-        self._csr_indices = indices
-        self._csr_edge_ids = edge_ids
-        self._incident_lists = None
-
     def _gather_csr(self, entities: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Concatenate ``values[indptr[e]:indptr[e+1]]`` over ``entities``."""
         indptr = self._csr_indptr

@@ -1,4 +1,4 @@
-"""The project rules (RL001–RL008).
+"""The project rules (RL001–RL009).
 
 Each rule encodes a bug class this repository has actually shipped (and
 fixed) or an architectural invariant the ROADMAP depends on.  The rule

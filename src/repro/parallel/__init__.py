@@ -21,11 +21,8 @@ code path.  Determinism: per-rank RNG streams are pinned from
 deterministic (shard k → rank k), so identical runs produce identical
 results.
 
-Parameter transport for training is a two-backend switch (see
-:mod:`repro.parallel.shm`): the default ``"pickle"`` backend broadcasts
-the state dict inside every payload, while ``"shm"`` publishes weights to
-a shared-memory segment and stamps payloads with a tiny param version —
-zero-copy broadcast with bitwise-identical checkpoints.
+Training has one parameter transport: the parent broadcasts the state
+dict inside every shard payload.
 """
 
 from repro.parallel.evaluation import (
@@ -49,29 +46,14 @@ from repro.parallel.sharding import (
     shard_sizes,
     unpack_triples,
 )
-from repro.parallel.shm import (
-    BACKEND_ENV_VAR,
-    SharedArrayBlock,
-    SharedGraphCSR,
-    SharedParamStore,
-    StaleParamsError,
-    resolve_backend,
-    segment_backend,
-    shm_available,
-)
 from repro.parallel.trainer import DataParallelTrainer, reduce_gradients
 from repro.train.trainer import ParallelConfig
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "DataParallelTrainer",
     "ParallelConfig",
     "ParallelEvaluator",
-    "SharedArrayBlock",
-    "SharedGraphCSR",
-    "SharedParamStore",
     "ShardedPreparer",
-    "StaleParamsError",
     "WorkerError",
     "WorkerPool",
     "fork_available",
@@ -80,15 +62,12 @@ __all__ = [
     "pack_triples",
     "reduce_gradients",
     "register_op",
-    "resolve_backend",
     "score_batch_sharded",
     "score_query_lists",
     "score_triples_sharded",
     "scoring_pool",
-    "segment_backend",
     "shard_list",
     "shard_sizes",
-    "shm_available",
     "unpack_triples",
     "usable_cpus",
 ]

@@ -280,14 +280,6 @@ class WorkerPool:
     close_timeout_s:
         Grace period :meth:`close` gives each worker to exit on its own
         before escalating terminate → kill.
-    resources:
-        Objects with a ``close()`` the pool owns — shared-memory segments
-        (:class:`repro.parallel.shm.SharedParamStore` /
-        :class:`~repro.parallel.shm.SharedGraphCSR`) whose lifetime must
-        cover every (re)spawned worker.  Closed after the workers during
-        :meth:`close`, never before: a respawned rank remaps the same
-        segments by fork inheritance, which is what keeps post-crash
-        re-runs bitwise identical.
     """
 
     def __init__(
@@ -298,7 +290,6 @@ class WorkerPool:
         task_deadline_s: Optional[float] = None,
         max_task_retries: int = 2,
         close_timeout_s: float = 5.0,
-        resources: Sequence[Any] = (),
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -310,7 +301,6 @@ class WorkerPool:
         self.task_deadline_s = task_deadline_s
         self.max_task_retries = int(max_task_retries)
         self.close_timeout_s = float(close_timeout_s)
-        self._resources = list(resources)
         self._inline = self.workers == 1 or not fork_available()
         self._processes: List[multiprocessing.Process] = []
         self._task_queues: List[Any] = []
@@ -414,10 +404,7 @@ class WorkerPool:
 
     def _run_inline(self, op: str, payloads: List[Any]) -> List[Any]:
         plan = active_plan()
-        # ``inline`` tells ops they run in the parent on the authoritative
-        # objects — e.g. the shm train step must not rebind the parent
-        # model's parameters to read-only shared views.
-        state = {"context": self.context, "rank": 0, "rng": None, "inline": True}
+        state = {"context": self.context, "rank": 0, "rng": None}
         results: List[Any] = []
         for payload in payloads:
             spec = plan.take(op, 0, self._next_index(op, 0), kinds=_INLINE_KINDS)
@@ -663,11 +650,6 @@ class WorkerPool:
             self._results.close()
         self._processes = []
         self._task_queues = []
-        # Shared-memory segments go last: every worker that could have
-        # mapped them is down, so unlinking cannot strand a respawn.
-        for resource in self._resources:
-            resource.close()
-        self._resources = []
         if not self._inline:
             _budget_cpus(opening=False)
 

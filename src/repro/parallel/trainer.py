@@ -17,23 +17,10 @@ engine:
 4. gradient clipping and the Adam step run once, in the parent, on the
    authoritative parameters — workers never hold optimizer state.
 
-Parameter transport is a two-backend switch
-(``ParallelConfig.backend``, env ``REPRO_PARALLEL_BACKEND``):
-
-* ``"pickle"`` — the compatibility path: the full state dict rides inside
-  every shard payload;
-* ``"shm"`` — zero-copy: the parent publishes the weights into a
-  :class:`~repro.parallel.shm.SharedParamStore` segment once per step and
-  payloads carry only a small **param-version stamp**; workers bind their
-  parameters to read-only views of the segment at first dispatch (and
-  again after a respawn) and read the current weights without any
-  serialisation.  Gradients return through preallocated per-rank shared
-  buffers, so result payloads shrink to ``(loss, pairs, present names)``
-  and the weighted reduction runs over views.
-
-Both backends are bitwise-identical: the worker computes on the same
-parameter values either way, and the reduction consumes the same gradient
-bits (pinned by ``tests/test_parallel_equivalence.py``).
+Parameter transport is the state dict itself: the parent broadcasts
+``model.state_dict()`` inside every shard payload and workers load it
+before their forward pass.  The pool is forked after ``graph.warm()``, so
+the graph's CSR pages are shared copy-on-write and never travel.
 
 For full-batch gradients this is exact-equivalent to the serial one-pass
 step (pinned, with dropout off, by ``tests/test_parallel_equivalence.py``);
@@ -50,7 +37,6 @@ import numpy as np
 from repro.autograd import clip_grad_norm, margin_ranking_loss
 from repro.parallel.pool import WorkerPool, register_op
 from repro.parallel.sharding import pack_triples, shard_list, unpack_triples
-from repro.parallel.shm import SharedGraphCSR, SharedParamStore
 from repro.train.trainer import Trainer, TrainingHistory
 
 
@@ -58,39 +44,18 @@ from repro.train.trainer import Trainer, TrainingHistory
 def _train_step_op(state: Dict[str, Any], payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker side of one data-parallel step: forward/backward on a shard.
 
-    Resolves the parameters by backend — ``pickle`` loads the broadcast
-    state dict, ``shm`` checks the payload's param-version stamp against
-    the shared segment and (once per spawned worker) binds the model's
-    parameters to read-only segment views — then scores the shard's
-    positives and negatives (one merged pass when ``one_pass`` — the same
-    layout as the serial step) and backpropagates the shard's
-    mean-reduced margin loss.  Gradients return inline (pickle) or
-    through the rank's preallocated shared buffer (shm).
+    Loads the broadcast state dict, scores the shard's positives and
+    negatives (one merged pass when ``one_pass`` — the same layout as the
+    serial step), backpropagates the shard's mean-reduced margin loss and
+    returns the gradients inline.
     """
     positives = unpack_triples(payload["positives"])
     negatives = unpack_triples(payload["negatives"])
-    shm = payload.get("backend") == "shm"
     if not positives:
-        empty: Dict[str, Any] = {"loss": 0.0, "pairs": 0}
-        if shm:
-            empty["grad_names"] = []
-        else:
-            empty["grads"] = {}
-        return empty
+        return {"loss": 0.0, "pairs": 0, "grads": {}}
     model = state["context"]["model"]
     graph = state["context"]["graph"]
-    if shm:
-        store: SharedParamStore = state["context"]["param_store"]
-        store.check_version(payload["param_version"])
-        if not state.get("inline") and not state.get("shm_bound"):
-            # Once per (re)spawned worker: afterwards the read-only views
-            # track every publish with no further work.  Inline pools run
-            # on the parent's authoritative parameters and must not be
-            # rebound to read-only views.
-            store.bind_model(model)
-            state["shm_bound"] = True
-    else:
-        model.load_state_dict(payload["params"])
+    model.load_state_dict(payload["params"])
     model.train()
     model.zero_grad()
     score_fn = model.score_batch_fused if payload["use_fused"] else model.score_batch
@@ -103,18 +68,12 @@ def _train_step_op(state: Dict[str, Any], payload: Dict[str, Any]) -> Dict[str, 
         neg_scores = score_fn(graph, negatives)
     loss = margin_ranking_loss(pos_scores, neg_scores, margin=payload["margin"])
     loss.backward()
-    grads = {
-        name: param.grad for name, param in model.named_parameters()
-    }
-    if shm:
-        present = store.write_grads(state["rank"], grads)
-        return {"loss": float(loss.data), "pairs": len(positives), "grad_names": present}
     return {
         "loss": float(loss.data),
         "pairs": len(positives),
         "grads": {
-            name: (grad.copy() if grad is not None else None)
-            for name, grad in grads.items()
+            name: (param.grad.copy() if param.grad is not None else None)
+            for name, param in model.named_parameters()
         },
     }
 
@@ -131,9 +90,8 @@ def reduce_gradients(
 
     The accumulation never mutates a shard's gradient array: the first
     contribution allocates a fresh ``weight * grad`` product, and only
-    that parent-owned accumulator is updated in place afterwards.  That
-    aliasing guarantee is load-bearing for the shm backend, whose shard
-    gradients are read-only views of the per-rank shared buffers.
+    that parent-owned accumulator is updated in place afterwards, so the
+    shard results a caller passes in come back untouched.
     """
     total_pairs = sum(result["pairs"] for result in shard_results)
     if total_pairs == 0:
@@ -161,64 +119,38 @@ class DataParallelTrainer(Trainer):
     """Margin-ranking trainer whose batch step fans out over a worker pool.
 
     Drop-in for :class:`~repro.train.trainer.Trainer` — same constructor,
-    same :meth:`fit` contract — reading the worker count (and the
-    parameter-transport backend) from ``config.parallel``.  Batch
-    composition, negative sampling, gradient clipping, the Adam
-    trajectory, validation, and early stopping all run in the parent
-    exactly as in the serial trainer; only the forward/backward of each
-    batch is sharded.
+    same :meth:`fit` contract — reading the worker count from
+    ``config.parallel``.  Batch composition, negative sampling, gradient
+    clipping, the Adam trajectory, validation, and early stopping all run
+    in the parent exactly as in the serial trainer; only the
+    forward/backward of each batch is sharded.
     """
 
     def __init__(self, *args, pool: Optional[WorkerPool] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._pool = pool
         self._owns_pool = pool is None
-        self._store: Optional[SharedParamStore] = None
-        self._backend: Optional[str] = None
 
     # ------------------------------------------------------------------
     def fit(self) -> TrainingHistory:
         parallel = self.config.parallel
-        backend = parallel.resolved_backend()
         if self._pool is None:
             # Warm the adjacency BEFORE forking so the workers share the
             # parent's CSR pages copy-on-write.
             self.graph.warm()
-            context: Dict[str, Any] = {"model": self.model, "graph": self.graph}
-            resources: List[Any] = []
-            if backend == "shm":
-                # Segments must exist before the fork: workers inherit
-                # the mapping, and respawned ranks remap the same
-                # segments the same way (bitwise-faithful re-runs).
-                self._store = SharedParamStore(
-                    self.model.state_dict(), parallel.workers
-                )
-                context["param_store"] = self._store
-                resources = [self._store, SharedGraphCSR(self.graph)]
             self._pool = WorkerPool(
                 parallel.workers,
-                context=context,
+                context={"model": self.model, "graph": self.graph},
                 seed=self.config.seed,
                 task_deadline_s=parallel.task_deadline_s,
                 max_task_retries=parallel.max_task_retries,
-                resources=resources,
             )
-        elif backend == "shm":
-            # An externally-owned pool can only go zero-copy if it was
-            # forked around a parameter store; otherwise fall back to the
-            # payload broadcast rather than dispatching unresolvable
-            # version stamps.
-            self._store = self._pool.context.get("param_store")
-            if self._store is None:
-                backend = "pickle"
-        self._backend = backend
         try:
             return super().fit()
         finally:
             if self._owns_pool and self._pool is not None:
-                self._pool.close()  # closes the shared segments too
+                self._pool.close()
                 self._pool = None
-                self._store = None
 
     # ------------------------------------------------------------------
     def _batch_step(self, batch, negatives) -> Optional[float]:
@@ -233,39 +165,21 @@ class DataParallelTrainer(Trainer):
         config = self.config
         pool = self._pool
         assert pool is not None, "DataParallelTrainer.fit() owns the pool"
-        backend = self._backend or "pickle"
-        if backend == "shm":
-            assert self._store is not None, "shm backend requires a param store"
-            broadcast: Dict[str, Any] = {
-                "backend": "shm",
-                "param_version": self._store.publish_model(self.model),
-            }
-        else:
-            broadcast = {"backend": "pickle", "params": self.model.state_dict()}
+        params = self.model.state_dict()
         pos_shards = shard_list(list(batch), pool.workers)
         neg_shards = shard_list(list(negatives), pool.workers)
         payloads = [
-            dict(
-                broadcast,
-                positives=pack_triples(pos_shard),
-                negatives=pack_triples(neg_shard),
-                margin=config.margin,
-                use_fused=config.use_fused_scoring,
-                one_pass=config.one_pass_step,
-            )
+            {
+                "params": params,
+                "positives": pack_triples(pos_shard),
+                "negatives": pack_triples(neg_shard),
+                "margin": config.margin,
+                "use_fused": config.use_fused_scoring,
+                "one_pass": config.one_pass_step,
+            }
             for pos_shard, neg_shard in zip(pos_shards, neg_shards)
         ]
-        results = pool.run("train_step", payloads)
-        if backend == "shm":
-            results = [
-                {
-                    "loss": result["loss"],
-                    "pairs": result["pairs"],
-                    "grads": self._store.grad_views(rank, result["grad_names"]),
-                }
-                for rank, result in enumerate(results)
-            ]
-        grads, loss, total_pairs = reduce_gradients(results)
+        grads, loss, total_pairs = reduce_gradients(pool.run("train_step", payloads))
         if total_pairs == 0:
             return None
         self.optimizer.zero_grad()

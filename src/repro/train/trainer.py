@@ -36,18 +36,12 @@ class ParallelConfig:
     completely untouched (no processes, no queues).  With ``workers > 1``
     training shards each batch across a fork-based worker pool
     (data-parallel gradients, averaged in the parent before the Adam
-    step) and evaluation fans ranking queries across the same pool.
+    step, the state dict riding in every shard payload) and evaluation
+    fans ranking queries across the same pool.
     """
 
     workers: int = 1
     eval_workers: Optional[int] = None  # None = same as ``workers``
-    # Parameter-transport backend for data-parallel training:
-    # ``"pickle"`` ships the full state dict inside every worker payload;
-    # ``"shm"`` publishes weights to a shared-memory segment and stamps
-    # payloads with a param version (zero-copy broadcast, bitwise-equal
-    # checkpoints — see :mod:`repro.parallel.shm`).  ``"auto"`` reads the
-    # ``REPRO_PARALLEL_BACKEND`` env var, defaulting to ``"pickle"``.
-    backend: str = "auto"
     # Fault-tolerance knobs forwarded to the worker pool: how long one
     # task (batch shard / query shard) may run before its worker is deemed
     # wedged and recycled, and how many times a task lost to a worker
@@ -55,14 +49,16 @@ class ParallelConfig:
     task_deadline_s: Optional[float] = None
     max_task_retries: int = 2
 
+    def __post_init__(self) -> None:
+        # Callers branch on ``workers > 1``, so a zero or negative count
+        # would otherwise fall through to the serial path unnoticed.
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.eval_workers is not None and self.eval_workers < 1:
+            raise ValueError(f"eval_workers must be >= 1, got {self.eval_workers}")
+
     def resolved_eval_workers(self) -> int:
         return self.workers if self.eval_workers is None else self.eval_workers
-
-    def resolved_backend(self) -> str:
-        """``"pickle"`` or ``"shm"`` (``"auto"`` consults the env)."""
-        from repro.parallel.shm import resolve_backend
-
-        return resolve_backend(self.backend)
 
 
 @dataclass(frozen=True)

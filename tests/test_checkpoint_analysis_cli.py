@@ -380,3 +380,8 @@ class TestCLI:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             cli_main(["bogus"])
+
+    @pytest.mark.parametrize("command", ("run", "full"))
+    def test_non_positive_workers_rejected(self, command):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            cli_main([command, "--workers", "-3"])

@@ -275,13 +275,10 @@ class TestPoolChaos:
         assert produced == reference
         assert obs_registry.counter_value("parallel.pool.restarts") == 1
 
-    @pytest.mark.parametrize("backend", ("pickle", "shm"))
-    def test_kill_during_train_step_is_bitwise(
-        self, backend, max_workers, obs_registry
-    ):
-        """Kill a rank mid-``train_step``: the respawned worker must remap
-        the shared segments (shm) or reload broadcast params (pickle) and
-        re-run the lost shard to a **bitwise identical** checkpoint."""
+    def test_kill_during_train_step_is_bitwise(self, max_workers, obs_registry):
+        """Kill a rank mid-``train_step``: the respawned worker must reload
+        the broadcast params and re-run the lost shard to a **bitwise
+        identical** checkpoint."""
         workers = capped(2, max_workers)
         graph = small_graph()
         train = TripleSet(TRIPLES[:9])
@@ -292,7 +289,7 @@ class TestPoolChaos:
                 epochs=2,
                 batch_size=5,
                 seed=3,
-                parallel=ParallelConfig(workers=workers, backend=backend),
+                parallel=ParallelConfig(workers=workers),
             )
             trainer = DataParallelTrainer(model, graph, train, config=config)
             if plan is None:

@@ -344,12 +344,11 @@ class TestDataParallelGradients:
         assert loss_a == pytest.approx(loss_b) == pytest.approx(2.0)
 
     def test_reduce_gradients_never_mutates_shard_arrays(self):
-        """Aliasing guard: shard gradients may be read-only views of the
-        shm backend's shared buffers — the in-place accumulation must only
-        ever touch parent-owned arrays."""
+        """Aliasing guard: the in-place accumulation must only ever touch
+        parent-owned arrays, never a gradient a shard handed in."""
         grad_a = np.ones(3)
         grad_b = np.full(3, 5.0)
-        grad_a.setflags(write=False)  # a write would raise, like shm views
+        grad_a.setflags(write=False)  # any write to a shard array raises
         grad_b.setflags(write=False)
         shards = [
             {"loss": 1.0, "pairs": 1, "grads": {"w": grad_a}},
@@ -361,60 +360,38 @@ class TestDataParallelGradients:
         np.testing.assert_array_equal(grad_b, np.full(3, 5.0))
         assert grads["w"] is not grad_a and grads["w"] is not grad_b
 
-
-# ----------------------------------------------------------------------
-class TestBackendParity:
-    """The zero-copy gate: pickle and shm parameter transport must produce
-    **bitwise identical** training, because the workers compute on the same
-    parameter values through the same ops either way."""
-
-    def _fit(self, workers, backend, dropout=0.0):
+    def test_dropout_rerun_is_bitwise_deterministic(self, max_workers):
+        """Per-rank dropout streams are pinned from ``(seed, rank)``, so two
+        identical data-parallel runs produce bitwise-identical checkpoints."""
+        workers = capped(2, max_workers)
         graph = small_graph()
         train = TripleSet(TRIPLES[:9])
         config = TrainingConfig(
-            epochs=2,
-            batch_size=5,
-            seed=3,
-            parallel=ParallelConfig(workers=workers, backend=backend),
+            epochs=2, batch_size=5, seed=3, parallel=ParallelConfig(workers=workers)
         )
-        model = make_model(dropout=dropout)
-        history = DataParallelTrainer(model, graph, train, config=config).fit()
-        return model.state_dict(), history
 
-    def _assert_states_bitwise(self, reference, produced):
-        assert set(reference) == set(produced)
-        for name in reference:
-            assert np.array_equal(produced[name], reference[name]), name
+        def fit():
+            model = make_model(dropout=0.3)
+            history = DataParallelTrainer(model, graph, train, config=config).fit()
+            return model.state_dict(), history
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_checkpoints_bitwise_identical(self, workers, max_workers):
-        workers = capped(workers, max_workers)
-        pickle_state, pickle_history = self._fit(workers, "pickle")
-        shm_state, shm_history = self._fit(workers, "shm")
-        assert pickle_history.losses == shm_history.losses  # exact, not approx
-        self._assert_states_bitwise(pickle_state, shm_state)
-
-    def test_parity_holds_with_dropout(self, max_workers):
-        # Dropout draws from per-rank RNG streams that are independent of
-        # the parameter transport, so parity stays bitwise.
-        workers = capped(2, max_workers)
-        pickle_state, _ = self._fit(workers, "pickle", dropout=0.3)
-        shm_state, _ = self._fit(workers, "shm", dropout=0.3)
-        self._assert_states_bitwise(pickle_state, shm_state)
-
-    def test_shm_rerun_is_bitwise_deterministic(self, max_workers):
-        workers = capped(2, max_workers)
-        first_state, first_history = self._fit(workers, "shm", dropout=0.3)
-        second_state, second_history = self._fit(workers, "shm", dropout=0.3)
+        first_state, first_history = fit()
+        second_state, second_history = fit()
         assert first_history.losses == second_history.losses
-        self._assert_states_bitwise(first_state, second_state)
+        assert set(first_state) == set(second_state)
+        for name, value in first_state.items():
+            assert np.array_equal(second_state[name], value), name
 
-    def test_env_var_drives_auto_backend(self, monkeypatch, max_workers):
-        workers = capped(2, max_workers)
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "shm")
-        auto_state, _ = self._fit(workers, "auto")
-        explicit_state, _ = self._fit(workers, "shm")
-        self._assert_states_bitwise(explicit_state, auto_state)
+
+# ----------------------------------------------------------------------
+class TestParallelConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        ({"workers": 0}, {"workers": -3}, {"workers": 2, "eval_workers": 0}),
+    )
+    def test_rejects_non_positive_counts(self, kwargs):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ParallelConfig(**kwargs)
 
 
 # ----------------------------------------------------------------------
