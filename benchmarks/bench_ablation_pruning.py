@@ -9,11 +9,11 @@ speedup on real extracted subgraphs.
 
 import numpy as np
 
-from repro.benchmarks.timing import timed
 from repro.core import RMPI, RMPIConfig
 from repro.core.model import RMPISample
 from repro.experiments import bench_settings, format_table
 from repro.kg import build_partial_benchmark
+from repro.obs import span
 from repro.subgraph import (
     build_message_plan,
     build_relational_graph,
@@ -47,11 +47,11 @@ def test_ablation_pruning_efficiency(benchmark, emit):
             full_samples.append(RMPISample(triple, full_plan, None, sub.is_empty))
 
         def score_all(samples):
-            elapsed, _ = timed(
-                lambda: [model.score_sample(s) for s in samples],
-                "bench.ablation.forward",
-            )
-            return elapsed
+            timer = span("bench.ablation.forward")
+            with timer:
+                for sample in samples:
+                    model.score_sample(sample)
+            return timer.elapsed_s
 
         # Warm-up then measure.
         score_all(pruned_samples[:5])

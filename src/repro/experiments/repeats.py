@@ -1,9 +1,8 @@
 """Repeated runs with mean/std aggregation (paper §IV-B: "we run each
 experiment 5 times and report the mean results").
 
-The benchmark suite defaults to one run per cell for wall-clock reasons
-(override with ``REPRO_BENCH_REPEATS``); this module provides the
-aggregation used when repeats > 1.
+The benchmark suite runs each cell once for wall-clock reasons; this
+module provides the aggregation used when a cell is repeated.
 """
 
 from __future__ import annotations

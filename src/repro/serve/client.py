@@ -4,8 +4,10 @@
 anything.  Typed helpers mirror the server's endpoints; :meth:`request`
 exposes the raw ``(status, body)`` pair for smoke checks.
 
-Fault tolerance: connection-level failures surface as the typed
-:class:`ServingUnavailable` (never a raw ``URLError``), and the typed
+Fault tolerance: connection-level failures — refused, timed out, or
+dropped before the response was read — surface as the typed
+:class:`ServingUnavailable` (never a raw ``URLError``, ``TimeoutError``
+or ``http.client.RemoteDisconnected``), and the typed
 helpers retry **idempotent** calls — health/models/stats/score/topk, all
 safe to repeat because scoring is a pure read — on 503s and connection
 failures with capped, jittered exponential backoff.  A 503 carrying the
@@ -17,6 +19,7 @@ state.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import time
@@ -40,7 +43,8 @@ class ServingError(RuntimeError):
 class ServingUnavailable(ServingError):
     """The server is unreachable or shedding load (connection failure or a
     503 that outlived the retry budget).  Wraps the underlying
-    ``urllib.error.URLError`` when one exists (``__cause__``)."""
+    ``OSError`` / ``http.client.HTTPException`` when one exists
+    (``__cause__``)."""
 
     def __init__(
         self, reason: str, cause: Optional[BaseException] = None
@@ -122,9 +126,15 @@ class ServingClient:
             except ValueError:
                 body = {"error": raw}
             return error.code, body
-        except urllib.error.URLError as error:
+        except (OSError, http.client.HTTPException) as error:
+            # urlopen wraps connect failures in URLError, but a timeout or a
+            # dropped connection while the response is read comes out bare
+            # (TimeoutError, RemoteDisconnected, ConnectionResetError).
+            reason = (
+                error.reason if isinstance(error, urllib.error.URLError) else error
+            )
             raise ServingUnavailable(
-                f"{method.upper()} {self.base_url + path} failed: {error.reason}",
+                f"{method.upper()} {self.base_url + path} failed: {reason}",
                 cause=error,
             ) from error
 

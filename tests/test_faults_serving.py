@@ -15,6 +15,7 @@ latency fault and watching ``plan.fired()`` — no sleep-and-hope races.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
@@ -317,6 +318,24 @@ class _Always503(BaseHTTPRequestHandler):
         return
 
 
+def _read_request(conn):
+    """Consume one HTTP request (headers plus Content-Length body)."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    match = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+    length = int(match.group(1)) if match else 0
+    while len(body) < length:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return
+        body += chunk
+
+
 class TestClientResilience:
     @pytest.fixture
     def dead_url(self):
@@ -357,6 +376,49 @@ class TestClientResilience:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+    def test_response_timeout_is_typed(self, obs_registry):
+        # A listener that never answers: the handshake completes in the
+        # kernel backlog, then reading the response times out.
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            client = ServingClient(url, timeout=0.2, retries=0)
+            with pytest.raises(ServingUnavailable) as excinfo:
+                client.request("GET", "/health")
+        assert isinstance(excinfo.value.__cause__, TimeoutError)
+
+    def test_dropped_connection_is_retried_then_typed(self, obs_registry):
+        # A server that reads each request and hangs up without a response:
+        # the idempotent /score must be retried, then fail typed.
+        retries = 2
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(retries + 1)
+            listener.settimeout(10.0)
+
+            def drop_each_request():
+                for _ in range(retries + 1):
+                    conn, _ = listener.accept()
+                    with conn:
+                        _read_request(conn)
+
+            thread = threading.Thread(target=drop_each_request, daemon=True)
+            thread.start()
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            client = ServingClient(
+                url,
+                timeout=5.0,
+                retries=retries,
+                backoff_base_s=0.01,
+                backoff_cap_s=0.02,
+            )
+            with pytest.raises(ServingUnavailable, match="still unavailable") as excinfo:
+                client.score([tuple(TRIPLE)])
+            thread.join(timeout=10)
+        assert isinstance(excinfo.value.__cause__, ConnectionResetError)
+        assert obs_registry.counter_value("serve.client.retries") == retries
 
     def test_raw_request_is_single_attempt(self, dead_url, obs_registry):
         client = ServingClient(dead_url, timeout=0.5, retries=5)
