@@ -22,7 +22,7 @@ from repro.subgraph import (
     extract_disclosing_subgraph,
     extract_enclosing_subgraph,
     full_graph_plan,
-    target_one_hop_relations,
+    target_one_hop_relations_many,
 )
 
 ENTITIES = ["A", "B", "C", "D", "E", "F"]
@@ -96,9 +96,13 @@ def main() -> None:
 
     # Step 4: disclosing neighborhood for the NE module.
     disclosing = extract_disclosing_subgraph(graph, target, num_hops=2)
-    neighbors = target_one_hop_relations(disclosing)
-    print("\n4) Disclosing one-hop relational neighborhood (NE module input):")
-    print("   " + ", ".join(RELATIONS[r] for r in sorted(set(neighbors))))
+    neighbors = target_one_hop_relations_many(graph, [target])[0]
+    print(
+        f"\n4) 2-hop disclosing subgraph: {len(disclosing.entities)} entities, "
+        f"{len(disclosing.triples)} edges; one-hop relational neighborhood "
+        "(NE module input):"
+    )
+    print("   " + ", ".join(RELATIONS[r] for r in sorted(set(neighbors.tolist()))))
 
 
 if __name__ == "__main__":

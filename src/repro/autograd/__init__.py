@@ -8,7 +8,7 @@ Public surface:
 * :class:`~repro.autograd.module.Module` / :class:`~repro.autograd.module.Parameter`
 * layers (:class:`Linear`, :class:`Embedding`, :class:`Dropout`, :class:`MLP`)
 * optimizers (:class:`SGD`, :class:`Adam`) and losses
-* engine policy (:func:`no_grad`, default dtype, kernel selection) in
+* engine policy (:func:`no_grad`, default dtype) in
   :mod:`repro.autograd.engine`
 """
 
@@ -17,7 +17,6 @@ from repro.autograd.engine import (
     enable_grad,
     get_default_dtype,
     is_grad_enabled,
-    legacy_kernels,
     no_grad,
     set_default_dtype,
 )
@@ -68,5 +67,4 @@ __all__ = [
     "get_default_dtype",
     "set_default_dtype",
     "default_dtype",
-    "legacy_kernels",
 ]

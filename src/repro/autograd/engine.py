@@ -1,22 +1,18 @@
-"""Engine-wide compute policy: default dtype, grad mode, kernel selection.
+"""Engine-wide compute policy: default dtype and grad mode.
 
-Three process-wide switches control how the autograd engine executes, each
+Two process-wide switches control how the autograd engine executes, each
 with a context-manager form for scoped overrides:
 
 * **Default dtype** — the dtype new tensors and parameters are created with.
   ``float32`` by default (halves memory bandwidth on the message-passing
   matmuls); ``float64`` is an opt-in for gradient checking and the
-  legacy-equivalence property suites.  Float arrays passed in explicitly as
+  equivalence property suites.  Float arrays passed in explicitly as
   ``float32``/``float64`` keep their dtype — the policy only governs
   scalars, sequences, integer arrays and parameter initialisation.
 * **Grad mode** — :class:`no_grad` suppresses backward-graph construction
   engine-wide: inside the context every op returns a plain tensor with no
   parents and no backward closure, so eval/serving forwards allocate zero
   autograd bookkeeping.
-* **Kernel selection** — :func:`legacy_kernels` re-enables the original
-  ``np.add.at`` scatter kernels and the per-edge-type matmul loop.  The
-  fast sort-based kernels are the default; the legacy ones are kept as the
-  reference implementation for equivalence tests and benchmarks.
 
 The switches are plain module globals.  The serving stack funnels all
 scoring through a single worker thread, so scoped toggling is safe there;
@@ -44,7 +40,6 @@ _SUPPORTED_DTYPES = (np.float32, np.float64)
 
 _default_dtype: type = np.float32
 _grad_enabled: bool = True
-_fast_kernels: bool = True
 
 
 def resolve_dtype(dtype: DtypeLike) -> type:
@@ -128,23 +123,3 @@ def enable_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled = previous
-
-
-# ---------------------------------------------------------------------------
-# Kernel selection
-# ---------------------------------------------------------------------------
-def fast_kernels_enabled() -> bool:
-    return _fast_kernels
-
-
-@contextlib.contextmanager
-def legacy_kernels() -> Iterator[None]:
-    """Scoped switch to the ``np.add.at`` reference kernels and the
-    per-edge-type matmul loop (equivalence tests / benchmark contenders)."""
-    global _fast_kernels
-    previous = _fast_kernels
-    _fast_kernels = False
-    try:
-        yield
-    finally:
-        _fast_kernels = previous

@@ -205,29 +205,6 @@ def typed_matmul(x: TensorLike, weights: TensorLike, types) -> Tensor:
     return Tensor(out_data, parents=(x, weights), backward_fn=backward)
 
 
-def legacy_typed_matmul(x: TensorLike, weights: TensorLike, types) -> Tensor:
-    """Reference :func:`typed_matmul`: the original per-type mask/matmul/
-    concat/reorder composition of existing differentiable ops.  Kept for
-    the equivalence property suite and benchmark contenders."""
-    x, weights = as_tensor(x), as_tensor(weights)
-    types = np.asarray(types, dtype=np.int64)
-    parts = []
-    order_parts = []
-    for t in range(weights.shape[0]):
-        idx = np.nonzero(types == t)[0]
-        if not len(idx):
-            continue
-        parts.append(matmul(index_select(x, idx), index_select(weights, t)))
-        order_parts.append(idx)
-    if not parts:
-        return Tensor(np.zeros((0, weights.shape[2]), dtype=x.data.dtype))
-    order = np.concatenate(order_parts)
-    stacked = concat(parts, axis=0)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(order))
-    return index_select(stacked, inverse)
-
-
 def transpose(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.T

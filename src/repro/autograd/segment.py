@@ -10,32 +10,29 @@ three primitives over a flat list of messages tagged by segment ids:
 
 All are differentiable; ``segment_sum``'s backward is a gather and vice versa.
 
-Two kernel families implement the scatter reductions:
-
-* the **fast kernels** (default) sort rows by segment id once (a stable
-  argsort, skipped when ids are already sorted) and reduce contiguous runs
-  with ``np.add.reduceat`` / ``np.maximum.reduceat``; 1-D reductions use
-  ``np.bincount``.  Each segment reduces over its rows in their original
-  order — bitwise-equal to the scatter kernels for the 1-D paths, within a
-  few ULPs for the 2-D ``reduceat`` paths (numpy may re-associate the
-  additions);
-* the **legacy kernels** are the original ``np.add.at`` buffered-scatter
-  implementations, kept verbatim as ``legacy_*`` references — the
-  equivalence property suite (``tests/test_kernel_equivalence.py``) and the
-  benchmark contenders run against them, selected engine-wide via
-  :func:`repro.autograd.engine.legacy_kernels`.
+The scatter reductions sort rows by segment id once (a stable argsort,
+skipped when ids are already sorted) and reduce contiguous runs with
+``np.add.reduceat`` / ``np.maximum.reduceat``; 1-D reductions use
+``np.bincount``.  Each segment reduces over its rows in their original
+order — bitwise-equal to the ``np.add.at`` scatter kernels they replaced
+for the 1-D paths, within a few ULPs for the 2-D ``reduceat`` paths (numpy
+may re-associate the additions).  Those scatter kernels live on as the
+``legacy_*`` oracles in ``tests/oracles/kernels.py``, which the
+equivalence property suite (``tests/test_kernel_equivalence.py``) holds
+these kernels to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.engine import fast_kernels_enabled
 from repro.autograd.ops import _needs_graph
 from repro.autograd.tensor import Tensor, as_tensor
 
 
-def _check_segment_ids(segment_ids: np.ndarray, num_rows: int) -> np.ndarray:
+def _check_segment_ids(
+    segment_ids: np.ndarray, num_rows: int, num_segments: int
+) -> np.ndarray:
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if segment_ids.ndim != 1:
         raise ValueError("segment_ids must be 1-D")
@@ -43,8 +40,11 @@ def _check_segment_ids(segment_ids: np.ndarray, num_rows: int) -> np.ndarray:
         raise ValueError(
             f"segment_ids length {len(segment_ids)} != number of rows {num_rows}"
         )
-    if segment_ids.size and segment_ids.min() < 0:
-        raise ValueError("segment ids must be non-negative")
+    if segment_ids.size:
+        if segment_ids.min() < 0:
+            raise ValueError("segment ids must be non-negative")
+        if segment_ids.max() >= num_segments:
+            raise ValueError("segment id exceeds num_segments")
     return segment_ids
 
 
@@ -67,8 +67,8 @@ def _segment_sum_array(
     """Sort-based unsorted-segment-sum on raw arrays (fast kernel core).
 
     Within each segment, rows are summed in their original order — the
-    same sequence as ``np.add.at``, so results agree with the legacy
-    scatter kernel to within numpy's reduction re-association (a few ULPs;
+    same sequence as ``np.add.at``, so results agree with the scatter
+    kernel to within numpy's reduction re-association (a few ULPs;
     bitwise on the 1-D ``bincount`` path).
     """
     out_shape = (num_segments,) + values.shape[1:]
@@ -115,8 +115,6 @@ def _segment_max_array(
 # ---------------------------------------------------------------------------
 def gather(a: Tensor, index) -> Tensor:
     """Row gather ``a[index]`` with (sort-based) scatter-add backward."""
-    if not fast_kernels_enabled():
-        return legacy_gather(a, index)
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
     out_data = a.data[index]
@@ -137,22 +135,6 @@ def gather(a: Tensor, index) -> Tensor:
     return Tensor(out_data, parents=(a,), backward_fn=backward)
 
 
-def legacy_gather(a: Tensor, index) -> Tensor:
-    """Reference gather: ``np.add.at`` scatter backward (legacy kernel)."""
-    a = as_tensor(a)
-    index = np.asarray(index, dtype=np.int64)
-    out_data = a.data[index]
-    if not _needs_graph(a):
-        return Tensor(out_data)
-
-    def backward(grad: np.ndarray):
-        grad_a = np.zeros_like(a.data)
-        np.add.at(grad_a, index, grad)
-        return (grad_a,)
-
-    return Tensor(out_data, parents=(a,), backward_fn=backward)
-
-
 # ---------------------------------------------------------------------------
 # Segment sum / mean
 # ---------------------------------------------------------------------------
@@ -162,32 +144,9 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     ``out[s] = sum(values[i] for i where segment_ids[i] == s)``; empty
     segments yield zero rows.  Output dtype follows the input dtype.
     """
-    if not fast_kernels_enabled():
-        return legacy_segment_sum(values, segment_ids, num_segments)
     values = as_tensor(values)
-    segment_ids = _check_segment_ids(segment_ids, values.shape[0])
-    if segment_ids.size and segment_ids.max() >= num_segments:
-        raise ValueError("segment id exceeds num_segments")
+    segment_ids = _check_segment_ids(segment_ids, values.shape[0], num_segments)
     out_data = _segment_sum_array(values.data, segment_ids, num_segments)
-    if not _needs_graph(values):
-        return Tensor(out_data)
-
-    def backward(grad: np.ndarray):
-        return (grad[segment_ids],)
-
-    return Tensor(out_data, parents=(values,), backward_fn=backward)
-
-
-def legacy_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Reference segment sum: ``np.add.at`` into a float64 accumulator
-    (the pre-dtype-policy behaviour, kept verbatim)."""
-    values = as_tensor(values)
-    segment_ids = _check_segment_ids(segment_ids, values.shape[0])
-    if segment_ids.size and segment_ids.max() >= num_segments:
-        raise ValueError("segment id exceeds num_segments")
-    out_shape = (num_segments,) + values.shape[1:]
-    out_data = np.zeros(out_shape, dtype=np.float64)
-    np.add.at(out_data, segment_ids, values.data)
     if not _needs_graph(values):
         return Tensor(out_data)
 
@@ -200,7 +159,7 @@ def legacy_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor
 def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Mean over each segment; empty segments yield zeros."""
     values = as_tensor(values)
-    segment_ids = _check_segment_ids(segment_ids, values.shape[0])
+    segment_ids = _check_segment_ids(segment_ids, values.shape[0], num_segments)
     counts = np.bincount(segment_ids, minlength=num_segments).astype(
         values.data.dtype
     )
@@ -216,11 +175,6 @@ def segment_max_constant(
     values: np.ndarray, segment_ids: np.ndarray, num_segments: int
 ) -> np.ndarray:
     """Per-segment max computed on raw arrays (used as a stop-gradient shift)."""
-    if not fast_kernels_enabled():
-        out = np.full((num_segments,) + values.shape[1:], -np.inf)
-        np.maximum.at(out, segment_ids, values)  # repro-lint: disable=RL002 legacy-kernel branch, selected only under legacy_kernels()
-        out[np.isneginf(out)] = 0.0
-        return out
     out = _segment_max_array(values, segment_ids, num_segments)
     out[np.isneginf(out)] = 0.0
     return out
@@ -235,12 +189,10 @@ def segment_softmax(logits: Tensor, segment_ids, num_segments: int) -> Tensor:
     The max-shift for numerical stability is treated as a constant
     (the standard stop-gradient trick); the softmax Jacobian is exact.
     """
-    if not fast_kernels_enabled():
-        return legacy_segment_softmax(logits, segment_ids, num_segments)
     logits = as_tensor(logits)
     if logits.ndim != 1:
         raise ValueError("segment_softmax expects 1-D logits")
-    segment_ids = _check_segment_ids(segment_ids, logits.shape[0])
+    segment_ids = _check_segment_ids(segment_ids, logits.shape[0], num_segments)
 
     shift = segment_max_constant(logits.data, segment_ids, num_segments)
     shifted = logits.data - shift[segment_ids]
@@ -258,35 +210,6 @@ def segment_softmax(logits: Tensor, segment_ids, num_segments: int) -> Tensor:
         seg_dot = np.bincount(
             segment_ids, weights=weighted, minlength=num_segments
         ).astype(weighted.dtype, copy=False)
-        return (weighted - out_data * seg_dot[segment_ids],)
-
-    return Tensor(out_data, parents=(logits,), backward_fn=backward)
-
-
-def legacy_segment_softmax(logits: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Reference segment softmax: ``np.add.at`` scatter normalisers."""
-    logits = as_tensor(logits)
-    if logits.ndim != 1:
-        raise ValueError("segment_softmax expects 1-D logits")
-    segment_ids = _check_segment_ids(segment_ids, logits.shape[0])
-
-    shift = np.full(num_segments, -np.inf)
-    np.maximum.at(shift, segment_ids, logits.data)
-    shift[np.isneginf(shift)] = 0.0
-    shifted = logits.data - shift[segment_ids]
-    exps = np.exp(np.clip(shifted, -60.0, 60.0))
-    denom = np.zeros(num_segments, dtype=np.float64)
-    np.add.at(denom, segment_ids, exps)
-    denom = np.maximum(denom, 1e-12)
-    out_data = exps / denom[segment_ids]
-
-    if not _needs_graph(logits):
-        return Tensor(out_data)
-
-    def backward(grad: np.ndarray):
-        weighted = grad * out_data
-        seg_dot = np.zeros(num_segments, dtype=np.float64)
-        np.add.at(seg_dot, segment_ids, weighted)
         return (weighted - out_data * seg_dot[segment_ids],)
 
     return Tensor(out_data, parents=(logits,), backward_fn=backward)

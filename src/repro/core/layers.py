@@ -17,18 +17,18 @@ The per-edge-type transforms ``W_e`` (eq. 6) live in ONE stacked
 ``(NUM_EDGE_TYPES, dim, dim)`` parameter and are applied by
 :func:`repro.autograd.ops.typed_matmul` — a single sort-by-type batched
 matmul with a fused backward, replacing the original mask/matmul/concat/
-reorder loop (kept below as the legacy reference path, selected engine-wide
-via :func:`repro.autograd.engine.legacy_kernels`).
+reorder loop (kept as the ``legacy_typed_matmul`` oracle in
+``tests/oracles/kernels.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.autograd import Module, Parameter, Tensor
-from repro.autograd import engine, ops
+from repro.autograd import ops
 from repro.autograd.init import xavier_uniform
 from repro.autograd.segment import gather, segment_count, segment_softmax, segment_sum
 from repro.subgraph.linegraph import NUM_EDGE_TYPES
@@ -101,40 +101,17 @@ class RelationalMessagePassingLayer(Module):
         num_nodes = features.shape[0]
         src, etype, dst = edges[:, 0], edges[:, 1], edges[:, 2]
 
-        h_src: Optional[Tensor] = None
-        if engine.fast_kernels_enabled():
-            # Fused path: one gather + one typed matmul over type-grouped
-            # edges.  Adopting the sorted order up front (a no-op for
-            # batched plans, which arrive pre-sorted from merge_plans) lets
-            # typed_matmul skip its scatter-back permutation entirely.
-            if len(etype) > 1 and np.any(etype[1:] < etype[:-1]):
-                order = np.argsort(etype, kind="stable")
-                src, etype, dst = src[order], etype[order], dst[order]
-                if edge_targets is not None:
-                    edge_targets = edge_targets[order]
-            h_src = gather(features, src)
-            messages = ops.typed_matmul(h_src, self.weight, etype)
-        else:
-            # Legacy reference: per-edge-type mask/matmul, re-assembled in
-            # type-grouped order (the original loop, kept for equivalence
-            # tests and benchmark contenders).
-            message_parts: List[Tensor] = []
-            order_parts: List[np.ndarray] = []
-            for edge_type in range(NUM_EDGE_TYPES):
-                mask = etype == edge_type
-                if not mask.any():
-                    continue
-                idx = np.nonzero(mask)[0]
-                h_part = gather(features, src[idx])
-                message_parts.append(
-                    ops.matmul(h_part, ops.index_select(self.weight, edge_type))
-                )
-                order_parts.append(idx)
-            order = np.concatenate(order_parts)
-            messages = ops.concat(message_parts, axis=0)
+        # One gather + one typed matmul over type-grouped edges.
+        # Adopting the sorted order up front (a no-op for batched plans,
+        # which arrive pre-sorted from merge_plans) lets typed_matmul skip
+        # its scatter-back permutation entirely.
+        if len(etype) > 1 and np.any(etype[1:] < etype[:-1]):
+            order = np.argsort(etype, kind="stable")
             src, etype, dst = src[order], etype[order], dst[order]
             if edge_targets is not None:
                 edge_targets = edge_targets[order]
+        h_src = gather(features, src)
+        messages = ops.typed_matmul(h_src, self.weight, etype)
 
         if is_last:
             # Eq. 9: equal aggregation — plain sum of transformed neighbors.
@@ -145,8 +122,6 @@ class RelationalMessagePassingLayer(Module):
             groups = dst * NUM_EDGE_TYPES + etype
             num_groups = num_nodes * NUM_EDGE_TYPES
             if use_attention:
-                if h_src is None:
-                    h_src = gather(features, src)
                 if edge_targets is not None:
                     target_row = gather(features, edge_targets)
                 else:

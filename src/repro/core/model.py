@@ -134,9 +134,7 @@ class RMPI(SubgraphScoringModel):
         subgraph is extracted.
         """
         triples = [tuple(int(x) for x in triple) for triple in triples]
-        enclosings = extract_subgraphs_many(
-            graph, triples, self.config.num_hops, kind="enclosing"
-        )
+        enclosings = extract_subgraphs_many(graph, triples, self.config.num_hops)
         neighbourhoods: list = (
             target_one_hop_relations_many(graph, triples)
             if self.config.use_disclosing

@@ -19,6 +19,10 @@ from repro.lint.reporting import Violation
 from repro.lint.walker import FileContext, LintRun
 
 
+#: Home of the ``legacy_*`` oracles (RL002 exempts them, RL006 pairs them).
+_ORACLE_DIR = "tests/oracles/"
+
+
 def _root_name(expr: ast.AST) -> Optional[str]:
     """The base ``Name`` of an attribute/subscript chain (``a.b[c].d`` → a)."""
     while isinstance(expr, (ast.Attribute, ast.Subscript)):
@@ -62,9 +66,7 @@ class DtypePolicyRule(Rule):
     )
 
     def _exempt(self, node: ast.AST, ctx: FileContext) -> bool:
-        if ctx.path.endswith("repro/autograd/engine.py"):
-            return True
-        return ctx.in_legacy_function(node)
+        return ctx.path.endswith("repro/autograd/engine.py")
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Violation]:
         if isinstance(node, ast.Attribute):
@@ -109,18 +111,18 @@ class DtypePolicyRule(Rule):
 # ---------------------------------------------------------------------------
 @register_rule
 class ScatterAddRule(Rule):
-    """``np.add.at`` / ``ufunc.at`` only inside ``legacy_*`` references.
+    """``np.add.at`` / ``ufunc.at`` only inside ``legacy_*`` oracles.
 
     PR 4 replaced the buffered-scatter kernels with sort-based
     ``reduceat``/``bincount`` reductions for a 2.2x train step; the
-    scatter form survives solely as the ``legacy_*`` reference
-    implementations the equivalence suites compare against.  New scatter
-    calls reintroduce the slow path.
+    scatter form survives solely as the ``legacy_*`` oracles in
+    ``tests/oracles/`` the equivalence suites compare against.  New
+    scatter calls reintroduce the slow path.
     """
 
     code = "RL002"
     name = "no-scatter-add"
-    summary = "ufunc.at scatter kernels outside legacy_* references"
+    summary = "ufunc.at scatter kernels outside legacy_* oracles"
     node_types = (ast.Call,)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Violation]:
@@ -135,12 +137,13 @@ class ScatterAddRule(Rule):
             and ufunc.value.id in ctx.numpy_aliases
         ):
             return
-        if ctx.in_legacy_function(node):
+        if ctx.path.startswith(_ORACLE_DIR) and ctx.in_legacy_function(node):
             return
         yield self.violation(
             node,
             ctx,
-            f"np.{ufunc.attr}.at scatter kernel outside a legacy_* reference; "
+            f"np.{ufunc.attr}.at scatter kernel outside a legacy_* oracle "
+            f"in {_ORACLE_DIR}; "
             "use the sort-based kernels in repro.autograd.segment "
             "(segment_sum / _segment_sum_array) superseding it since PR 4",
         )
@@ -376,24 +379,24 @@ class ForkSafetyRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RL006 — every legacy_* reference keeps its parity suite
+# RL006 — every legacy_* oracle keeps its parity suite
 # ---------------------------------------------------------------------------
 @register_rule
 class LegacyParityRule(Rule):
-    """Each ``legacy_*`` function in ``src/`` must be exercised by a
-    ``tests/test_*equivalence*`` module.
+    """Each module-level ``legacy_*`` function under ``tests/oracles/``
+    must be exercised by a ``tests/test_*equivalence*`` module.
 
-    The ``legacy_*`` implementations are the ground truth the fast
-    kernels are proven against; a reference whose parity suite silently
+    The ``legacy_*`` oracles are the ground truth the fast kernels in
+    ``src`` are proven against; an oracle whose parity suite silently
     disappears is dead weight that *looks* like a safety net.  This rule
     is cross-file: it collects ``legacy_*`` defs during the walk and
     resolves references against the equivalence test modules (loading
-    them from disk even when the CLI wasn't pointed at ``tests/``).
+    them from disk when the walk did not include them).
     """
 
     code = "RL006"
     name = "legacy-parity-pairing"
-    summary = "legacy_* reference without a test_*equivalence* suite"
+    summary = "legacy_* oracle without a test_*equivalence* suite"
     node_types = (ast.FunctionDef,)
 
     _TEST_GLOB = "test_*equivalence*.py"
@@ -405,7 +408,7 @@ class LegacyParityRule(Rule):
         assert isinstance(node, ast.FunctionDef)
         if not node.name.startswith("legacy_"):
             return
-        if "src/" not in ctx.path and not ctx.path.startswith("src"):
+        if not ctx.path.startswith(_ORACLE_DIR):
             return
         if any(True for _ in ctx.enclosing_functions(node)):
             return
@@ -449,8 +452,8 @@ class LegacyParityRule(Rule):
                 yield self.violation(
                     node,
                     ctx,
-                    f"reference implementation {name!r} is not exercised by "
-                    "any tests/test_*equivalence* module; a legacy kernel "
+                    f"oracle {name!r} is not exercised by any "
+                    "tests/test_*equivalence* module; a legacy kernel "
                     "without its parity suite is an unverified safety net",
                 )
 

@@ -38,22 +38,17 @@ from repro.parallel.sharding import (
 
 
 @register_op("score_queries")
-def _score_queries_op(state: Dict[str, Any], payload: Any) -> List[np.ndarray]:
+def _score_queries_op(
+    state: Dict[str, Any], payload: Dict[str, np.ndarray]
+) -> List[np.ndarray]:
     """Worker side: score each candidate list with the serial protocol's
     own entry point (``score_triples``) under the same uniform ``no_grad``
     guard — covers generic rule/embedding scorers that do not self-guard
     the way :class:`SubgraphScoringModel` does.
 
     The shard arrives packed as ``{"triples": (n, 3) array, "lengths":
-    per-query lengths}`` (slim transport); a legacy list-of-lists payload
-    is still accepted."""
-    if isinstance(payload, dict):
-        query_lists = unpack_query_lists(payload["triples"], payload["lengths"])
-    else:
-        query_lists = [
-            [tuple(int(x) for x in triple) for triple in queries]
-            for queries in payload
-        ]
+    per-query lengths}`` (slim transport)."""
+    query_lists = unpack_query_lists(payload["triples"], payload["lengths"])
     model: SubgraphScoringModel = state["context"]["model"]
     graph: KnowledgeGraph = state["context"]["graph"]
     with no_grad():

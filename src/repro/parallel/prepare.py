@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.base import SubgraphScoringModel
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triples import Triple
@@ -30,11 +32,10 @@ from repro.parallel.sharding import (
 
 
 @register_op("prepare")
-def _prepare_op(state: Dict[str, Any], payload: Any) -> List[Any]:
+def _prepare_op(state: Dict[str, Any], payload: np.ndarray) -> List[Any]:
     """Worker side: the model's own batched prepare on this rank's shard.
 
-    The shard arrives as a packed ``(n, 3)`` int64 array (slim transport);
-    legacy list-of-tuples payloads are still accepted."""
+    The shard arrives as a packed ``(n, 3)`` int64 array (slim transport)."""
     triples: List[Triple] = unpack_triples(payload)
     if not triples:
         return []

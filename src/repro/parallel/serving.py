@@ -32,7 +32,7 @@ def _serve_score_op(state: Dict[str, Any], payload: Dict[str, Any]) -> np.ndarra
     this rank's shard through the session's scoring semantics.
 
     Shard triples arrive packed as a ``(n, 3)`` int64 array (slim
-    transport); legacy list payloads are still accepted."""
+    transport)."""
     triples: List[Triple] = unpack_triples(payload["triples"])
     if not triples:
         return np.empty(0, dtype=SCORE_DTYPE)

@@ -11,13 +11,11 @@ The module also owns the slim triple transport used by every op payload:
 triples cross the queue as one ``(n, 3)`` int64 array (and query lists as
 one flat array plus a length vector) instead of pickled tuple lists —
 pickling a contiguous array is one buffer copy, not ``n`` tuple records.
-Unpacking tolerates the legacy list form so hand-built payloads keep
-working.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple, TypeVar
+from typing import List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -34,12 +32,9 @@ def pack_triples(triples: Sequence[IntTriple]) -> np.ndarray:
     return np.asarray(list(triples), dtype=np.int64).reshape(-1, 3)
 
 
-def unpack_triples(rows: Any) -> List[IntTriple]:
-    """Inverse of :func:`pack_triples`; also accepts an already-unpacked
-    triple sequence so hand-built (legacy) payloads keep working."""
-    if isinstance(rows, np.ndarray):
-        return [(int(h), int(r), int(t)) for h, r, t in rows.tolist()]
-    return [(int(h), int(r), int(t)) for h, r, t in rows]
+def unpack_triples(rows: np.ndarray) -> List[IntTriple]:
+    """Inverse of :func:`pack_triples`."""
+    return [(int(h), int(r), int(t)) for h, r, t in rows.tolist()]
 
 
 def pack_query_lists(
@@ -54,7 +49,7 @@ def pack_query_lists(
 
 
 def unpack_query_lists(
-    flat: Any, lengths: Any
+    flat: np.ndarray, lengths: np.ndarray
 ) -> List[List[IntTriple]]:
     """Inverse of :func:`pack_query_lists` (order and grouping preserved)."""
     triples = unpack_triples(flat)

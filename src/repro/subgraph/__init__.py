@@ -11,8 +11,6 @@ from repro.subgraph.extraction import (
     extract_disclosing_subgraph,
     extract_enclosing_subgraph,
     extract_subgraphs_many,
-    legacy_extract_disclosing_subgraph,
-    legacy_extract_enclosing_subgraph,
 )
 from repro.subgraph.labeling import encode_labels, label_feature_dim, node_labels
 from repro.subgraph.linegraph import (
@@ -22,8 +20,6 @@ from repro.subgraph.linegraph import (
     build_relational_graph,
     build_relational_graphs_many,
     connection_types,
-    legacy_build_relational_graph,
-    target_one_hop_relations,
     target_one_hop_relations_many,
 )
 from repro.subgraph.pruning import (
@@ -33,8 +29,6 @@ from repro.subgraph.pruning import (
     build_message_plans_many,
     full_graph_plan,
     incoming_hops,
-    legacy_build_message_plan,
-    legacy_incoming_hops,
 )
 
 __all__ = [
@@ -42,17 +36,13 @@ __all__ = [
     "extract_enclosing_subgraph",
     "extract_disclosing_subgraph",
     "extract_subgraphs_many",
-    "legacy_extract_enclosing_subgraph",
-    "legacy_extract_disclosing_subgraph",
     "node_labels",
     "encode_labels",
     "label_feature_dim",
     "RelationalGraph",
     "build_relational_graph",
     "build_relational_graphs_many",
-    "legacy_build_relational_graph",
     "connection_types",
-    "target_one_hop_relations",
     "target_one_hop_relations_many",
     "NUM_EDGE_TYPES",
     "EDGE_TYPE_NAMES",
@@ -60,8 +50,6 @@ __all__ = [
     "MessagePlan",
     "build_message_plan",
     "build_message_plans_many",
-    "legacy_build_message_plan",
     "full_graph_plan",
     "incoming_hops",
-    "legacy_incoming_hops",
 ]

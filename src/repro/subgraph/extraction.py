@@ -12,36 +12,34 @@ Given a target triple ``(u, r_t, v)``:
   entity set never contains isolated non-target nodes.  RMPI-NE reads only
   the target's one-hop relations of it, and does so without extracting it:
   :func:`repro.subgraph.linegraph.target_one_hop_relations_many` takes them
-  straight from the graph's CSR incidence.  ``kind="disclosing"`` stays as
-  the public API and the tests' oracle for that shortcut.
+  straight from the graph's CSR incidence.
+  :func:`extract_disclosing_subgraph` stays public as the plain dict/set
+  BFS specification of the union subgraph, and is the tests' oracle for
+  that shortcut.
 
 The target edge itself (every copy of ``(u, r, v)`` with the target
 relation) is removed from the extracted edge set so the model cannot read
 off the answer — the standard GraIL protocol.
 
-Two implementations coexist:
-
-* the **vectorized engine** (:func:`extract_subgraphs_many`) runs
-  boolean-mask frontier BFS over the graph's CSR adjacency and induces
-  edges with numpy masks.  It is the default behind
-  :func:`extract_enclosing_subgraph` / :func:`extract_disclosing_subgraph`
-  and is what the evaluation protocol's 50-candidates-per-query workload
-  hits: all candidates of one ranking query share the uncorrupted head or
-  tail, so their K-hop frontiers come from the graph's bounded LRU
-  :class:`~repro.kg.graph.NeighborhoodCache` (knob:
-  ``KnowledgeGraph(..., neighborhood_cache_size=...)``).
-* the **legacy reference path** (:func:`legacy_extract_enclosing_subgraph`
-  / :func:`legacy_extract_disclosing_subgraph`) is the original pure-Python
-  dict/set BFS, kept as an executable specification; the equivalence
-  property tests assert both paths produce identical
-  :class:`ExtractedSubgraph` values.
+Enclosing extraction (:func:`extract_subgraphs_many`, also behind
+:func:`extract_enclosing_subgraph`) runs boolean-mask frontier BFS over the
+graph's CSR adjacency and induces edges with numpy masks.  It is what the
+evaluation protocol's 50-candidates-per-query workload hits: all
+candidates of one ranking query share the uncorrupted head or tail, so
+their K-hop frontiers come from the graph's bounded LRU
+:class:`~repro.kg.graph.NeighborhoodCache` (knob:
+``KnowledgeGraph(..., neighborhood_cache_size=...)``).  The original
+pure-Python dict/set BFS it replaced is kept as the
+``legacy_extract_enclosing_subgraph`` oracle in
+``tests/oracles/extraction.py``; the equivalence property suite asserts
+both produce identical :class:`ExtractedSubgraph` values.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -133,14 +131,10 @@ def _extract_one_vectorized(
     relation: int,
     tail: int,
     num_hops: int,
-    kind: str,
 ) -> ExtractedSubgraph:
     neighbors_u = graph.khop_nodes(head, num_hops)
     neighbors_v = graph.khop_nodes(tail, num_hops)
-    if kind == "enclosing":
-        nodes = np.intersect1d(neighbors_u, neighbors_v, assume_unique=True)
-    else:
-        nodes = np.union1d(neighbors_u, neighbors_v)
+    nodes = np.intersect1d(neighbors_u, neighbors_v, assume_unique=True)
     # The targets always belong to the node universe, even when outside the
     # intersection (khop frontiers always contain their own source, so at
     # most the *other* target can be missing from each frontier).
@@ -159,8 +153,7 @@ def _extract_one_vectorized(
     tail_pos = int(nodes.searchsorted(tail))
 
     if len(edges) == 0:
-        # Nothing survives the target-edge removal: only the targets stay
-        # (enclosing and the disclosing isolated-entity prune agree here).
+        # Nothing survives the target-edge removal: only the targets stay.
         entities = (head,) if head == tail else (min(head, tail), max(head, tail))
         return ExtractedSubgraph(
             head=head,
@@ -187,19 +180,13 @@ def _extract_one_vectorized(
     dist_u = _masked_bfs_distances(count, src_idx, dst_idx, head_pos, num_hops)
     dist_v = _masked_bfs_distances(count, src_idx, dst_idx, tail_pos, num_hops)
 
-    if kind == "enclosing":
-        kept_mask = (dist_u >= 0) & (dist_v >= 0)
-    else:
-        # Disclosing keeps union entities that still touch a surviving edge;
-        # anything isolated by the target-edge removal is pruned.
-        kept_mask = np.zeros(count, dtype=bool)
-        kept_mask[endpoint_idx] = True
+    kept_mask = (dist_u >= 0) & (dist_v >= 0)
     # The targets always stay.
     kept_mask[head_pos] = True
     kept_mask[tail_pos] = True
     kept = nodes[kept_mask]
 
-    if kind == "enclosing" and kept.size < count:
+    if kept.size < count:
         edges = edges[kept_mask[head_idx] & kept_mask[tail_idx]]
 
     reachable = kept_mask & (dist_u >= 0)
@@ -223,12 +210,11 @@ def extract_subgraphs_many(
     graph: KnowledgeGraph,
     triples: Iterable[Triple],
     num_hops: int = 2,
-    kind: str = "enclosing",
 ) -> List[ExtractedSubgraph]:
-    """Batched subgraph extraction over the graph's CSR adjacency.
+    """Batched enclosing-subgraph extraction over the graph's CSR adjacency.
 
-    Extracts one subgraph per target triple, sharing per-entity K-hop
-    frontiers across the batch through the graph's
+    Extracts one enclosing subgraph (§III-B) per target triple, sharing
+    per-entity K-hop frontiers across the batch through the graph's
     :class:`~repro.kg.graph.NeighborhoodCache` — the evaluation protocol's
     candidate lists (truth + 49 corruptions, all sharing the uncorrupted
     head or tail) therefore run each distinct BFS once instead of ~50 times.
@@ -242,16 +228,11 @@ def extract_subgraphs_many(
         Target triples ``(u, r_t, v)``; they need not be facts of ``graph``.
     num_hops:
         K, the extraction radius.
-    kind:
-        ``"enclosing"`` (intersection semantics, §III-B) or
-        ``"disclosing"`` (union semantics, §III-F).
     """
-    if kind not in ("enclosing", "disclosing"):
-        raise ValueError(f"unknown subgraph kind: {kind!r}")
     with span("prepare.extract"):
         subgraphs = [
             _extract_one_vectorized(
-                graph, int(t[0]), int(t[1]), int(t[2]), num_hops, kind
+                graph, int(t[0]), int(t[1]), int(t[2]), num_hops
             )
             for t in triples
         ]
@@ -266,33 +247,19 @@ def extract_enclosing_subgraph(
 ) -> ExtractedSubgraph:
     """Extract the K-hop enclosing subgraph of ``target`` from ``graph``.
 
-    Thin wrapper over :func:`extract_subgraphs_many`; results are identical
-    to :func:`legacy_extract_enclosing_subgraph`.
+    Thin wrapper over :func:`extract_subgraphs_many`.
     """
-    return extract_subgraphs_many(graph, [target], num_hops, kind="enclosing")[0]
-
-
-def extract_disclosing_subgraph(
-    graph: KnowledgeGraph,
-    target: Triple,
-    num_hops: int = 2,
-) -> ExtractedSubgraph:
-    """Extract the K-hop disclosing subgraph (union of neighbor sets).
-
-    Thin wrapper over :func:`extract_subgraphs_many`; results are identical
-    to :func:`legacy_extract_disclosing_subgraph`.
-    """
-    return extract_subgraphs_many(graph, [target], num_hops, kind="disclosing")[0]
+    return extract_subgraphs_many(graph, [target], num_hops)[0]
 
 
 # ======================================================================
-# Legacy pure-Python reference path
+# Disclosing subgraph: pure-Python dict/set BFS
 # ======================================================================
 
-def _legacy_khop_distances(
+def _khop_distances(
     graph: KnowledgeGraph, source: int, max_hops: int
 ) -> Dict[int, int]:
-    """Pure-Python BFS over incident-edge lists (the original hot path)."""
+    """Pure-Python BFS over incident-edge lists."""
     distances: Dict[int, int] = {source: 0}
     frontier = deque([source])
     while frontier:
@@ -309,7 +276,7 @@ def _legacy_khop_distances(
     return distances
 
 
-def _legacy_induced_triples(graph: KnowledgeGraph, entities: Set[int]) -> TripleSet:
+def _induced_triples(graph: KnowledgeGraph, entities: Set[int]) -> TripleSet:
     picked: List[int] = []
     seen: Set[int] = set()
     for entity in entities:
@@ -351,62 +318,19 @@ def _drop_target_edges(triples: TripleSet, target: Triple) -> TripleSet:
     return triples.filter(lambda t: t != (head, relation, tail))
 
 
-def legacy_extract_enclosing_subgraph(
+def extract_disclosing_subgraph(
     graph: KnowledgeGraph,
     target: Triple,
     num_hops: int = 2,
 ) -> ExtractedSubgraph:
-    """Reference pure-Python enclosing extraction (dict/set BFS)."""
+    """Extract the K-hop disclosing subgraph (union of neighbor sets)."""
     head, relation, tail = (int(x) for x in target)
-    neighbors_u = set(_legacy_khop_distances(graph, head, num_hops))
-    neighbors_v = set(_legacy_khop_distances(graph, tail, num_hops))
-    common = neighbors_u & neighbors_v
-    common.add(head)
-    common.add(tail)
-
-    induced = _legacy_induced_triples(graph, common)
-    induced = _drop_target_edges(induced, (head, relation, tail))
-
-    # Prune: keep entities reachable within K hops of BOTH targets in the
-    # induced (target-edge-free) subgraph; the targets themselves always stay.
-    distances_u = _internal_distances(induced, head, num_hops)
-    distances_v = _internal_distances(induced, tail, num_hops)
-    kept = {
-        entity
-        for entity in common
-        if entity in distances_u and entity in distances_v
-    }
-    kept.add(head)
-    kept.add(tail)
-    final_triples = induced.filter(lambda t: t[0] in kept and t[2] in kept)
-    distances_u = {e: d for e, d in distances_u.items() if e in kept}
-    distances_v = {e: d for e, d in distances_v.items() if e in kept}
-
-    return ExtractedSubgraph(
-        head=head,
-        relation=relation,
-        tail=tail,
-        entities=tuple(sorted(kept)),
-        triples=final_triples,
-        num_hops=num_hops,
-        distances_u=distances_u,
-        distances_v=distances_v,
-    )
-
-
-def legacy_extract_disclosing_subgraph(
-    graph: KnowledgeGraph,
-    target: Triple,
-    num_hops: int = 2,
-) -> ExtractedSubgraph:
-    """Reference pure-Python disclosing extraction (dict/set BFS)."""
-    head, relation, tail = (int(x) for x in target)
-    union = set(_legacy_khop_distances(graph, head, num_hops)) | set(
-        _legacy_khop_distances(graph, tail, num_hops)
+    union = set(_khop_distances(graph, head, num_hops)) | set(
+        _khop_distances(graph, tail, num_hops)
     )
     union.add(head)
     union.add(tail)
-    induced = _legacy_induced_triples(graph, union)
+    induced = _induced_triples(graph, union)
     induced = _drop_target_edges(induced, (head, relation, tail))
     # Prune union entities isolated by the target-edge removal (no surviving
     # incident edge); the targets always stay.

@@ -21,26 +21,24 @@ PARA, not H-H + T-T).  The *target triple itself* is always added as a node
 (index :attr:`RelationalGraph.target_node`) so the message-passing network
 has a root to aggregate into even for candidate triples that are not facts.
 
-Two implementations coexist (mirroring ``repro.subgraph.extraction``):
-
-* the **vectorized kernel** (:func:`build_relational_graphs_many`, also
-  behind :func:`build_relational_graph`) enumerates co-incident triple
-  pairs per entity with ``np.repeat``/``np.tile`` over degree groups,
-  classifies all six connection-pattern types with boolean masks in one
-  shot, and deduplicates with ``np.unique`` on packed pair keys.  A whole
-  batch of subgraphs (e.g. the ~50 candidates of one ranking query) runs
-  through shared numpy passes by offsetting node/entity ids per graph;
-* the **legacy reference path** (:func:`legacy_build_relational_graph`) is
-  the original pure-Python O(Σ deg²) nested loop over entity incidence
-  lists, kept as an executable specification; the equivalence property
-  suite asserts both paths produce identical :class:`RelationalGraph`
-  values (same node ordering, same sorted edge rows).
+The transform (:func:`build_relational_graphs_many`, also behind
+:func:`build_relational_graph`) enumerates co-incident triple pairs per
+entity with ``np.repeat``/``np.tile`` over degree groups, classifies all
+six connection-pattern types with boolean masks in one shot, and
+deduplicates with ``np.unique`` on packed pair keys.  A whole batch of
+subgraphs (e.g. the ~50 candidates of one ranking query) runs through
+shared numpy passes by offsetting node/entity ids per graph.  The original
+pure-Python O(Σ deg²) nested loop over entity incidence lists is kept as
+the ``legacy_build_relational_graph`` oracle in
+``tests/oracles/linegraph.py``; the equivalence property suite asserts
+both produce identical :class:`RelationalGraph` values (same node
+ordering, same sorted edge rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,7 +235,7 @@ def _classified_edges(
     para = hh & tt
     crossed = ht & th
     loop = crossed & ~para
-    # PARA/LOOP subsume the component patterns (legacy precedence order).
+    # PARA/LOOP subsume the component patterns (as in connection_types).
     plain = ~para & ~crossed
     src_parts: List[np.ndarray] = []
     type_codes: List[int] = []
@@ -276,8 +274,8 @@ def build_relational_graphs_many(
     All subgraphs share the pairing/classification/sorting numpy passes:
     node ids are offset per graph and entity ids disambiguated with a
     per-graph key stride, so one sort/group-by enumerates every graph's
-    co-incident triple pairs together.  Output graphs are identical to
-    per-subgraph :func:`legacy_build_relational_graph` results.
+    co-incident triple pairs together.  Each output graph is the same as
+    :func:`build_relational_graph` of its subgraph alone.
     """
     subgraphs = list(subgraphs)
     if not subgraphs:
@@ -316,7 +314,7 @@ def _build_relational_graphs_many(
     node_graph = np.repeat(np.arange(len(subgraphs), dtype=np.int64), node_counts)
 
     # Entity incidence: every node under its head entity, plus its tail
-    # entity when distinct (matching the legacy incidence lists).  Entity
+    # entity when distinct (a self-loop is listed once).  Entity
     # keys carry the graph id so graphs never pair across the batch.
     stride = np.int64(max(int(all_heads.max()), int(all_tails.max())) + 1) if total_nodes else np.int64(1)
     node_index = np.arange(total_nodes, dtype=np.int64)
@@ -333,7 +331,7 @@ def _build_relational_graphs_many(
     src, etype, dst = _classified_edges(all_heads, all_tails, a, b)
     # Global lexicographic sort by (src, etype, dst); node offsets are
     # monotone per graph, so this is simultaneously the per-graph local
-    # (src, etype, dst) order the legacy path produces.
+    # (src, etype, dst) order.
     if src.size:
         order = np.lexsort((dst, etype, src))
         src, etype, dst = src[order], etype[order], dst[order]
@@ -366,68 +364,9 @@ def _build_relational_graphs_many(
 def build_relational_graph(subgraph: ExtractedSubgraph) -> RelationalGraph:
     """Transform an extracted (entity-view) subgraph into relation view.
 
-    Thin wrapper over :func:`build_relational_graphs_many`; results are
-    identical to :func:`legacy_build_relational_graph`.
+    Thin wrapper over :func:`build_relational_graphs_many`.
     """
     return build_relational_graphs_many([subgraph])[0]
-
-
-# ======================================================================
-# Legacy pure-Python reference path
-# ======================================================================
-
-def legacy_build_relational_graph(subgraph: ExtractedSubgraph) -> RelationalGraph:
-    """Reference pure-Python transform (nested loops over incidence lists)."""
-    target = subgraph.target()
-    node_triples: List[Triple] = [target]
-    for triple in subgraph.triples:
-        node_triples.append(triple)
-
-    incident: Dict[int, List[int]] = {}
-    for node_id, (head, _rel, tail) in enumerate(node_triples):
-        incident.setdefault(head, []).append(node_id)
-        if tail != head:
-            incident.setdefault(tail, []).append(node_id)
-
-    edge_set: Set[Tuple[int, int, int]] = set()
-    for nodes in incident.values():
-        for a in nodes:
-            for b in nodes:
-                if a == b:
-                    continue
-                for edge_type in connection_types(node_triples[a], node_triples[b]):
-                    edge_set.add((a, edge_type, b))
-
-    if edge_set:
-        edges = np.asarray(sorted(edge_set), dtype=np.int64)
-    else:
-        edges = np.empty((0, 3), dtype=np.int64)
-    return RelationalGraph(
-        node_heads=np.asarray([t[0] for t in node_triples], dtype=np.int64),
-        node_relations=np.asarray([t[1] for t in node_triples], dtype=np.int64),
-        node_tails=np.asarray([t[2] for t in node_triples], dtype=np.int64),
-        edges=edges,
-        target_node=0,
-        _node_triples=tuple(node_triples),
-    )
-
-
-def target_one_hop_relations(subgraph: ExtractedSubgraph) -> List[int]:
-    """Relations of edges incident to the target head or tail.
-
-    These are exactly the one-hop neighbors of the target node in the
-    relation-view graph of ``subgraph`` — the neighborhood the disclosing
-    (NE) module aggregates (paper eq. 13).  Computed directly (one boolean
-    mask over the triple array) without building the full (dense)
-    relational graph of the disclosing subgraph.
-    """
-    arr = subgraph.triples.array
-    if len(arr) == 0:
-        return []
-    u, v = subgraph.head, subgraph.tail
-    heads, tails = arr[:, 0], arr[:, 2]
-    mask = (heads == u) | (tails == u) | (heads == v) | (tails == v)
-    return arr[mask, 1].tolist()
 
 
 def target_one_hop_relations_many(
@@ -437,13 +376,17 @@ def target_one_hop_relations_many(
 
     For each target ``(u, r, v)`` returns the relations of the edges of
     ``graph`` incident to ``u`` or ``v``, each edge once and in edge-id
-    order, with every copy of the target fact dropped.  For any
-    ``num_hops >= 1`` this equals ``target_one_hop_relations`` of the
-    K-hop disclosing subgraph: an edge touching ``u`` has both endpoints
-    in ``N_K(u)``, so the union induction always keeps it, and the
-    disclosing subgraph lists its edges in edge-id order too.  One shared
-    gather and sort serve the whole batch instead of one union
-    extraction (two BFS passes included) per target.
+    order, with every copy of the target fact dropped.  These are the
+    one-hop neighbours of the target node in the relation view, the
+    neighbourhood the disclosing (NE) module aggregates (paper eq. 13).
+    For any ``num_hops >= 1`` they equal the relations of the edges
+    incident to ``u`` or ``v`` in the K-hop disclosing subgraph
+    (:func:`repro.subgraph.extract_disclosing_subgraph`), in the same
+    order: an edge touching ``u`` has both endpoints in ``N_K(u)``, so the
+    union induction always keeps it, and the disclosing subgraph lists its
+    edges in edge-id order too.  One shared gather and sort serve the whole
+    batch instead of one union extraction (two BFS passes included) per
+    target.
 
     Returns one read-only int64 array per target (slices of one batch
     array).  Entity ids outside the graph raise ``ValueError``.

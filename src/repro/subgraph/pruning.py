@@ -15,24 +15,19 @@ every node at every layer is wasteful.  Algorithm 1 instead:
 and the edge rows to aggregate, so the model's forward pass is a sequence of
 vectorised gather/scatter operations.
 
-Two implementations coexist (mirroring the extraction and line-graph
-modules):
-
-* the **vectorized compiler** (:func:`build_message_plans_many`, also
-  behind :func:`build_message_plan`) runs boolean-mask BFS over the
-  relational graph's CSR incoming-edge index and reindexes the pruned
-  space with array inverse-permutation lookups; a batch of graphs is
-  compiled in shared numpy passes over their disjoint union (one
-  multi-source BFS covers every graph at once);
-* the **legacy reference path** (:func:`legacy_build_message_plan` /
-  :func:`legacy_incoming_hops`) is the original dict-based BFS plus
-  per-edge Python reindexing loop, kept as an executable specification for
-  the equivalence property suite.
+The compiler (:func:`build_message_plans_many`, also behind
+:func:`build_message_plan`) runs boolean-mask BFS over the relational
+graph's CSR incoming-edge index and reindexes the pruned space with array
+inverse-permutation lookups; a batch of graphs is compiled in shared numpy
+passes over their disjoint union (one multi-source BFS covers every graph
+at once).  The original dict-based BFS plus per-edge Python reindexing
+loop is kept as the ``legacy_build_message_plan`` /
+``legacy_incoming_hops`` oracles in ``tests/oracles/pruning.py`` for the
+equivalence property suite.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -147,7 +142,7 @@ def incoming_hops(graph: RelationalGraph, max_hops: int) -> Dict[int, int]:
     exists, i.e. n's features can reach the target within h layers.  Runs
     the array BFS over the graph's lazily-built CSR incoming-edge index
     (see :meth:`RelationalGraph.incoming_index`); only reached nodes appear
-    in the returned dict, matching :func:`legacy_incoming_hops`.
+    in the returned dict.
     """
     indptr, order = graph.incoming_index()
     sources = (
@@ -189,8 +184,8 @@ def build_message_plans_many(
     The graphs are laid out as a disjoint union (node ids offset per
     graph); one multi-source boolean-mask BFS prunes every graph's
     neighborhood simultaneously, and the pruned-space reindexing is a
-    single inverse-permutation gather over the union's edges.  Output
-    plans are identical to per-graph :func:`legacy_build_message_plan`.
+    single inverse-permutation gather over the union's edges.  Each
+    graph's plan is the same whether it is compiled alone or in a batch.
     """
     graphs = list(graphs)
     if not graphs:
@@ -227,7 +222,7 @@ def build_message_plans_many(
 
     # Pruned node order: per graph, by (hop, original node id).  Kept node
     # ids are ascending, so graph-major lexsort yields each graph's block in
-    # exactly the legacy ``sorted(hops, key=(hop, node))`` order.
+    # exactly ``sorted(hops, key=(hop, node))`` order.
     kept = np.flatnonzero(dist >= 0)
     kept_hops = dist[kept]
     kept_graph = np.searchsorted(offsets, kept, side="right") - 1
@@ -282,80 +277,9 @@ def build_message_plans_many(
 def build_message_plan(graph: RelationalGraph, num_layers: int) -> MessagePlan:
     """Compile Algorithm 1 for ``graph`` with ``num_layers`` GNN layers.
 
-    Thin wrapper over :func:`build_message_plans_many`; results are
-    identical to :func:`legacy_build_message_plan`.
+    Thin wrapper over :func:`build_message_plans_many`.
     """
     return build_message_plans_many([graph], num_layers)[0]
-
-
-# ======================================================================
-# Legacy pure-Python reference path
-# ======================================================================
-
-def legacy_incoming_hops(graph: RelationalGraph, max_hops: int) -> Dict[int, int]:
-    """Reference dict-based BFS over per-edge incoming lists."""
-    incoming_of: Dict[int, List[int]] = {}
-    for src, _etype, dst in graph.edges:
-        incoming_of.setdefault(int(dst), []).append(int(src))
-    hops = {graph.target_node: 0}
-    frontier = deque([graph.target_node])
-    while frontier:
-        node = frontier.popleft()
-        depth = hops[node]
-        if depth >= max_hops:
-            continue
-        for src in incoming_of.get(node, ()):
-            if src not in hops:
-                hops[src] = depth + 1
-                frontier.append(src)
-    return hops
-
-
-def legacy_build_message_plan(
-    graph: RelationalGraph, num_layers: int
-) -> MessagePlan:
-    """Reference pure-Python plan compiler (dict BFS + per-edge reindex)."""
-    hops = legacy_incoming_hops(graph, num_layers)
-    kept = sorted(hops, key=lambda n: (hops[n], n))
-    # Target first (hop 0 sorts first and the target is the unique hop-0 node).
-    pruned_index = {node: i for i, node in enumerate(kept)}
-    node_ids = np.asarray(kept, dtype=np.int64)
-    node_relations = graph.node_relations[node_ids]
-    hop_array = np.asarray([hops[n] for n in kept], dtype=np.int64)
-
-    # Reindex edges into pruned space; drop edges touching discarded nodes.
-    rows: List[Tuple[int, int, int]] = []
-    for src, etype, dst in graph.edges:
-        src_i = pruned_index.get(int(src))
-        dst_i = pruned_index.get(int(dst))
-        if src_i is None or dst_i is None:
-            continue
-        rows.append((src_i, int(etype), dst_i))
-    all_edges = (
-        np.asarray(sorted(rows), dtype=np.int64)
-        if rows
-        else np.empty((0, 3), dtype=np.int64)
-    )
-
-    layers: List[LayerPlan] = []
-    for k in range(1, num_layers + 1):
-        budget = num_layers - k
-        update_mask = hop_array <= budget
-        update_nodes = np.nonzero(update_mask)[0].astype(np.int64)
-        if len(all_edges):
-            edge_mask = update_mask[all_edges[:, 2]]
-            layer_edges = all_edges[edge_mask]
-        else:
-            layer_edges = all_edges
-        layers.append(LayerPlan(edges=layer_edges, update_nodes=update_nodes))
-
-    return MessagePlan(
-        node_ids=node_ids,
-        node_relations=node_relations,
-        hops=hop_array,
-        target_index=0,
-        layers=tuple(layers),
-    )
 
 
 def full_graph_plan(graph: RelationalGraph, num_layers: int) -> MessagePlan:

@@ -1,4 +1,4 @@
-"""Fast sort-based kernels vs the legacy ``np.add.at`` references.
+"""Fast sort-based kernels vs the legacy ``np.add.at`` oracles.
 
 The fast segment kernels (``np.add.reduceat``/``bincount`` over sorted
 runs) must be equivalent to the legacy scatter kernels under float64 on
@@ -9,8 +9,9 @@ the 2-D ``reduceat`` reductions may re-associate a segment's additions
 (SIMD/pairwise summation inside numpy), so they are held to a
 few-ULP tolerance instead.  ``typed_matmul`` is compared against its
 per-type mask/matmul/concat reference, and the relational message passing
-layer's fused path is compared end-to-end against the legacy loop (the
-aggregation order over destinations legitimately differs).
+layer is compared end-to-end against itself with every kernel swapped for
+its oracle (the aggregation order over destinations legitimately differs).
+The oracles live in ``tests/oracles/kernels.py``.
 """
 
 #: A-few-ULPs float64 tolerance for re-associated sums.
@@ -21,18 +22,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor, check_gradients, legacy_kernels, ops
-from repro.autograd.segment import (
-    gather,
+from oracles.kernels import (
     legacy_gather,
+    legacy_segment_max_constant,
     legacy_segment_softmax,
     legacy_segment_sum,
+    legacy_typed_matmul,
+)
+from repro.autograd import Tensor, check_gradients, ops
+from repro.autograd.segment import (
+    gather,
     segment_max_constant,
     segment_softmax,
     segment_sum,
 )
 from repro.core.layers import RelationalMessagePassingLayer
 from repro.subgraph.linegraph import NUM_EDGE_TYPES
+
+
+def use_oracle_kernels(monkeypatch):
+    """Route the message passing layer through the oracle kernels: the
+    ``np.add.at`` gather / segment sum / segment softmax and the per-type
+    matmul loop."""
+    monkeypatch.setattr("repro.core.layers.gather", legacy_gather)
+    monkeypatch.setattr("repro.core.layers.segment_sum", legacy_segment_sum)
+    monkeypatch.setattr("repro.core.layers.segment_softmax", legacy_segment_softmax)
+    monkeypatch.setattr("repro.core.layers.ops.typed_matmul", legacy_typed_matmul)
 
 
 def ragged(seed, n, num_segments, cols=3):
@@ -143,8 +158,7 @@ class TestSegmentSoftmaxEquivalence:
         values = rng.normal(size=30)
         ids = rng.integers(5, size=30)
         fast = segment_max_constant(values, ids, 7)  # segments 5, 6 empty
-        with legacy_kernels():
-            legacy = segment_max_constant(values, ids, 7)
+        legacy = legacy_segment_max_constant(values, ids, 7)
         np.testing.assert_array_equal(fast, legacy)
 
 
@@ -155,7 +169,7 @@ class TestTypedMatmul:
         weights = rng.normal(size=(NUM_EDGE_TYPES, 5, 5))
         types = rng.integers(NUM_EDGE_TYPES, size=40)
         fused = ops.typed_matmul(Tensor(x), Tensor(weights), types)
-        reference = ops.legacy_typed_matmul(Tensor(x), Tensor(weights), types)
+        reference = legacy_typed_matmul(Tensor(x), Tensor(weights), types)
         np.testing.assert_allclose(fused.data, reference.data, rtol=0, atol=0)
 
     @given(
@@ -170,7 +184,7 @@ class TestTypedMatmul:
         weights = rng.normal(size=(num_types, 4, 3))
         types = rng.integers(num_types, size=n)
         fused = ops.typed_matmul(Tensor(x), Tensor(weights), types)
-        reference = ops.legacy_typed_matmul(Tensor(x), Tensor(weights), types)
+        reference = legacy_typed_matmul(Tensor(x), Tensor(weights), types)
         np.testing.assert_allclose(fused.data, reference.data, rtol=1e-12, atol=1e-12)
 
     def test_backward_matches_reference(self):
@@ -186,7 +200,7 @@ class TestTypedMatmul:
 
         x_ref = Tensor(x, requires_grad=True)
         w_ref = Tensor(weights, requires_grad=True)
-        ops.legacy_typed_matmul(x_ref, w_ref, types).backward(upstream)
+        legacy_typed_matmul(x_ref, w_ref, types).backward(upstream)
 
         np.testing.assert_allclose(x_fast.grad, x_ref.grad, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(w_fast.grad, w_ref.grad, rtol=1e-12, atol=1e-12)
@@ -208,7 +222,7 @@ class TestTypedMatmul:
         weights = rng.normal(size=(3, 3, 3))
         types = np.sort(rng.integers(3, size=10))
         fused = ops.typed_matmul(Tensor(x), Tensor(weights), types)
-        reference = ops.legacy_typed_matmul(Tensor(x), Tensor(weights), types)
+        reference = legacy_typed_matmul(Tensor(x), Tensor(weights), types)
         np.testing.assert_allclose(fused.data, reference.data, rtol=1e-12, atol=1e-12)
 
     def test_type_out_of_range_raises(self):
@@ -233,7 +247,9 @@ class TestLayerEquivalence:
         return features, edges
 
     @pytest.mark.parametrize("use_attention,is_last", [(False, False), (True, False), (False, True)])
-    def test_fused_layer_matches_legacy_loop(self, use_attention, is_last):
+    def test_fused_layer_matches_legacy_loop(
+        self, use_attention, is_last, monkeypatch
+    ):
         features, edges = self._random_case(0)
         layer = RelationalMessagePassingLayer(8, np.random.default_rng(1))
         layer.weight.data = layer.weight.data.astype(np.float64)
@@ -241,15 +257,13 @@ class TestLayerEquivalence:
         out_fast = layer(
             Tensor(features), edges, 0, use_attention, is_last
         )
-        with legacy_kernels():
-            out_legacy = layer(
-                Tensor(features), edges, 0, use_attention, is_last
-            )
+        use_oracle_kernels(monkeypatch)
+        out_legacy = layer(Tensor(features), edges, 0, use_attention, is_last)
         np.testing.assert_allclose(
             out_fast.data, out_legacy.data, rtol=1e-12, atol=1e-12
         )
 
-    def test_fused_layer_gradients_match_legacy_loop(self):
+    def test_fused_layer_gradients_match_legacy_loop(self, monkeypatch):
         features, edges = self._random_case(5)
         layer = RelationalMessagePassingLayer(8, np.random.default_rng(2))
         layer.weight.data = layer.weight.data.astype(np.float64)
@@ -263,8 +277,8 @@ class TestLayerEquivalence:
 
         feat_legacy = Tensor(features, requires_grad=True)
         layer.zero_grad()
-        with legacy_kernels():
-            layer(feat_legacy, edges, 0, True, False).backward(upstream)
+        use_oracle_kernels(monkeypatch)
+        layer(feat_legacy, edges, 0, True, False).backward(upstream)
         np.testing.assert_allclose(
             grad_w_fast, layer.weight.grad, rtol=1e-10, atol=1e-10
         )

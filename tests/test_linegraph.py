@@ -12,7 +12,7 @@ from repro.subgraph import (
     build_relational_graph,
     connection_types,
     extract_enclosing_subgraph,
-    target_one_hop_relations,
+    target_one_hop_relations_many,
 )
 from repro.subgraph.linegraph import H_H, H_T, LOOP, PARA, T_H, T_T
 
@@ -128,7 +128,8 @@ class TestTargetOneHop:
         from repro.subgraph import extract_disclosing_subgraph
 
         sub = extract_disclosing_subgraph(family_graph, (0, 0, 1), num_hops=2)
-        rels = target_one_hop_relations(sub)
+        [relations] = target_one_hop_relations_many(family_graph, [(0, 0, 1)])
+        rels = relations.tolist()
         # Every reported relation labels an edge touching A or B.
         for rel in rels:
             assert any(
@@ -139,7 +140,8 @@ class TestTargetOneHop:
         from repro.subgraph import extract_disclosing_subgraph
 
         sub = extract_disclosing_subgraph(family_graph, (0, 0, 1), num_hops=2)
-        rels = sorted(target_one_hop_relations(sub))
+        [relations] = target_one_hop_relations_many(family_graph, [(0, 0, 1)])
+        rels = sorted(relations.tolist())
         rg = build_relational_graph(sub)
         incoming = rg.incoming(rg.target_node)
         via_graph = sorted(rg.node_relations[incoming[:, 0]].tolist())

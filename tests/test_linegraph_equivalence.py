@@ -3,14 +3,14 @@
 The numpy pairing kernel behind ``build_relational_graph`` /
 ``build_relational_graphs_many`` and the array plan compiler behind
 ``build_message_plan`` / ``build_message_plans_many`` must produce
-*identical* values to the pure-Python reference paths — same node ordering
-(target first, then subgraph triples in order), same deduplicated sorted
-edge rows, same BFS hops, same per-layer schedules — on arbitrary
-subgraphs, including self-loops, parallel edges (PARA/LOOP subsumption),
-empty subgraphs, and disconnected targets.  The batched NE neighbourhood
-read from CSR incidence must equal the one-hop relations of the extracted
-disclosing subgraph.  A final class asserts fused batched scoring stays
-equal to per-sample scoring through the new prepare path.
+*identical* values to the pure-Python oracles in ``tests/oracles/`` — same
+node ordering (target first, then subgraph triples in order), same
+deduplicated sorted edge rows, same BFS hops, same per-layer schedules — on
+arbitrary subgraphs, including self-loops, parallel edges (PARA/LOOP
+subsumption), empty subgraphs, and disconnected targets.  The batched NE
+neighbourhood read from CSR incidence must equal the one-hop relations of
+the extracted disclosing subgraph.  A final class asserts fused batched
+scoring stays equal to per-sample scoring through the new prepare path.
 """
 
 import numpy as np
@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engine_tolerances import score_tolerance
+from oracles.linegraph import disclosing_one_hop_relations, legacy_build_relational_graph
+from oracles.pruning import legacy_build_message_plan, legacy_incoming_hops
 from repro.core import RMPI, RMPIConfig
 from repro.kg import KnowledgeGraph, TripleSet
 from repro.subgraph import (
@@ -30,10 +32,6 @@ from repro.subgraph import (
     extract_enclosing_subgraph,
     extract_subgraphs_many,
     incoming_hops,
-    legacy_build_message_plan,
-    legacy_build_relational_graph,
-    legacy_incoming_hops,
-    target_one_hop_relations,
     target_one_hop_relations_many,
 )
 
@@ -162,7 +160,7 @@ class TestRelationalGraphEquivalence:
                 assert np.array_equal(rg.incoming(node), expected)
 
     def test_target_one_hop_relations_order(self):
-        # The vectorized mask must preserve triple order (the NE module's
+        # The batched CSR read must preserve triple order (the NE module's
         # ragged concat is keyed on it).
         g = KnowledgeGraph.from_triples(
             [(0, 0, 1), (1, 1, 2), (2, 2, 3), (1, 3, 0), (3, 0, 3)]
@@ -172,7 +170,7 @@ class TestRelationalGraphEquivalence:
         expected = [
             r for h, r, t in sub.triples if h == u or t == u or h == v or t == v
         ]
-        assert target_one_hop_relations(sub) == expected
+        assert target_one_hop_relations_many(g, [(0, 1, 1)])[0].tolist() == expected
 
 
 def multigraph(seed: int) -> KnowledgeGraph:
@@ -198,13 +196,6 @@ def multigraph(seed: int) -> KnowledgeGraph:
     return KnowledgeGraph(TripleSet(rows), num_entities, num_relations)
 
 
-def ne_oracle(graph, target, hops):
-    """The old NE path: one-hop relations of the extracted disclosing
-    subgraph."""
-    sub = extract_disclosing_subgraph(graph, target, hops)
-    return np.asarray(target_one_hop_relations(sub), dtype=np.int64)
-
-
 class TestTargetOneHopRelationsMany:
     @given(seed=st.integers(0, 600), hops=st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
@@ -221,7 +212,7 @@ class TestTargetOneHopRelationsMany:
         got = target_one_hop_relations_many(graph, targets)
         assert len(got) == len(targets)
         for target, relations in zip(targets, got):
-            expected = ne_oracle(graph, target, hops)
+            expected = disclosing_one_hop_relations(graph, target, hops)
             assert relations.dtype == np.int64 and relations.ndim == 1
             assert relations.tolist() == expected.tolist()
             assert not relations.flags.writeable
@@ -237,7 +228,7 @@ class TestTargetOneHopRelationsMany:
         assert [r.tolist() for r in got] == [[1, 0, 2, 3], [0, 1, 0, 2, 3], [0, 0, 0, 3], [1]]
         for target, relations in zip(targets, got):
             for hops in (1, 2, 3):
-                assert relations.tolist() == ne_oracle(g, target, hops).tolist()
+                assert relations.tolist() == disclosing_one_hop_relations(g, target, hops).tolist()
 
     def test_empty_batch(self):
         g = KnowledgeGraph.from_triples([(0, 0, 1)])

@@ -103,6 +103,13 @@ def test_rl001_clean_engine_module_comparisons_and_legacy(tmp_path):
 
                 def is_wide(x):
                     return x.dtype == np.float64
+                """,
+            ),
+            (
+                # Legacy oracles name float64 freely: tests/ ignores RL001.
+                "tests/oracles/feature.py",
+                """
+                import numpy as np
 
                 def legacy_feature(n):
                     return np.zeros(n, dtype=np.float64)
@@ -113,6 +120,7 @@ def test_rl001_clean_engine_module_comparisons_and_legacy(tmp_path):
         # Scoped to the rule under test: the legacy_ fixture would
         # otherwise (correctly) trip RL006's parity-pairing check.
         select=("RL001",),
+        per_path_ignores=(("tests/", ("RL001",)),),
     )
     assert violations == []
 
@@ -131,18 +139,24 @@ def test_rl002_flags_scatter_add(tmp_path):
                 out = np.zeros(n)
                 np.add.at(out, index, values)
                 return out
+
+            # A legacy_ name exempts only the oracles under tests/oracles/.
+            def legacy_segment_sum(values, index, n):
+                out = np.zeros(n)
+                np.add.at(out, index, values)
+                return out
             """,
         )],
         tmp_path,
     )
-    assert codes(violations) == ["RL002"]
+    assert codes(violations) == ["RL002", "RL002"]
     assert "legacy_" in violations[0].message
 
 
 def test_rl002_clean_inside_legacy_reference(tmp_path):
     violations = run_lint(
         [(
-            "src/repro/kernel.py",
+            "tests/oracles/kernel.py",
             """
             import numpy as np
 
@@ -331,7 +345,7 @@ def test_rl005_clean_module_level_op_with_state_dict(tmp_path):
 def test_rl006_flags_unpaired_legacy_reference(tmp_path):
     violations = run_lint(
         [(
-            "src/repro/kernels.py",
+            "tests/oracles/kernels.py",
             """
             def legacy_zz_orphan_kernel(values):
                 return values
@@ -347,7 +361,7 @@ def test_rl006_clean_when_equivalence_module_references_it(tmp_path):
     violations = run_lint(
         [
             (
-                "src/repro/kernels.py",
+                "tests/oracles/kernels.py",
                 """
                 def legacy_zz_paired_kernel(values):
                     return values
@@ -356,7 +370,7 @@ def test_rl006_clean_when_equivalence_module_references_it(tmp_path):
             (
                 "tests/test_kernels_equivalence.py",
                 """
-                from repro import kernels
+                from oracles import kernels
 
                 def test_parity(data):
                     assert kernels.legacy_zz_paired_kernel(data) is data
@@ -369,7 +383,7 @@ def test_rl006_clean_when_equivalence_module_references_it(tmp_path):
 
 
 def test_rl006_loads_equivalence_modules_from_disk(tmp_path):
-    """Parity suites count even when the CLI wasn't pointed at tests/."""
+    """Parity suites count even when the walk did not include them."""
     tests_dir = tmp_path / "tests"
     tests_dir.mkdir()
     (tests_dir / "test_disk_equivalence.py").write_text(
@@ -377,7 +391,7 @@ def test_rl006_loads_equivalence_modules_from_disk(tmp_path):
     )
     violations = run_lint(
         [(
-            "src/repro/kernels.py",
+            "tests/oracles/kernels.py",
             """
             def legacy_zz_disk_kernel(values):
                 return values

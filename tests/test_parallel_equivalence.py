@@ -38,6 +38,7 @@ from repro.parallel import (
     WorkerError,
     WorkerPool,
     merge_shards,
+    pack_triples,
     reduce_gradients,
     shard_list,
     shard_sizes,
@@ -144,7 +145,7 @@ class TestWorkerPool:
     def test_too_many_payloads(self):
         with WorkerPool(1) as pool:
             with pytest.raises(ValueError):
-                pool.run("prepare", [[], []])
+                pool.run("prepare", [pack_triples([]), pack_triples([])])
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_op_errors_propagate(self, workers, max_workers):
@@ -152,14 +153,14 @@ class TestWorkerPool:
         with WorkerPool(workers, context={"model": None, "graph": None}) as pool:
             # A None model makes the prepare op raise inside the worker.
             with pytest.raises((WorkerError, AttributeError)):
-                pool.run("prepare", [[(0, 0, 1)]] * workers)
+                pool.run("prepare", [pack_triples([(0, 0, 1)])] * workers)
 
     def test_close_is_idempotent(self):
         pool = WorkerPool(2, context={})
         pool.close()
         pool.close()
         with pytest.raises(RuntimeError):
-            pool.run("prepare", [[]])
+            pool.run("prepare", [pack_triples([])])
 
     def test_concurrent_spawns_keep_contexts_distinct(self, max_workers):
         """Regression: ``_spawn`` used to publish the module-global
@@ -506,7 +507,9 @@ class TestServingPool:
         # The workers were pinned to the OLD graph: detached AND closed.
         assert app.session.scoring_pool is None
         with pytest.raises(RuntimeError):
-            pool.run("serve_score", [{"model": "rmpi", "triples": []}])
+            pool.run(
+                "serve_score", [{"model": "rmpi", "triples": pack_triples([])}]
+            )
         # Scoring still works (serially) against the new graph.
         assert app.session.score([(0, 0, 2)]).shape == (1,)
         app.close()

@@ -5,13 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles.linegraph import disclosing_one_hop_relations
 from repro.core import RMPI, RMPIConfig
 from repro.core.disclosing import DisclosingAggregator
 from repro.core.layers import RelationalMessagePassingLayer
 from repro.core.scoring import ScoringHead
 from repro.autograd import Tensor
 from repro.kg import KnowledgeGraph
-from repro.subgraph import extract_disclosing_subgraph, target_one_hop_relations
 
 
 @pytest.fixture
@@ -232,12 +232,7 @@ class TestNEParity:
         model = RMPI(num_relations, np.random.default_rng(0), config)
         samples = model.prepare_many(graph, candidates)
         expected = [
-            np.asarray(
-                target_one_hop_relations(
-                    extract_disclosing_subgraph(graph, t, config.num_hops)
-                ),
-                dtype=np.int64,
-            )
+            disclosing_one_hop_relations(graph, t, config.num_hops)
             for t in candidates
         ]
         assert sum(len(e) for e in expected) > 0

@@ -154,6 +154,14 @@ class TestSegmentSoftmax:
             assert out[seg == s].sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "op", [segment_sum, segment_mean, segment_softmax], ids=lambda op: op.__name__
+)
+def test_segment_id_beyond_num_segments_raises_value_error(op):
+    with pytest.raises(ValueError, match="segment id exceeds num_segments"):
+        op(Tensor(np.ones(3)), [0, 1, 5], 2)
+
+
 class TestSegmentCount:
     def test_counts(self):
         assert segment_count([0, 0, 2], 4).tolist() == [2, 0, 1, 0]
