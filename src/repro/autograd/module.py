@@ -1,7 +1,10 @@
 """Module/Parameter abstractions, mirroring the familiar ``torch.nn`` pattern.
 
 A :class:`Module` is a tree of submodules and :class:`Parameter` leaves.
-``parameters()`` walks the tree; optimizers consume that flat list.
+``parameters()`` walks the tree; optimizers consume that flat list.  The
+walk follows attributes that are a Parameter or a Module, or a list/tuple
+of them; it never looks inside a dict, so data attributes such as a
+model's sample memo cost nothing to walk past.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ class Parameter(Tensor):
 class Module:
     """Base class for all neural network components.
 
-    Subclasses assign :class:`Parameter` and :class:`Module` attributes in
-    ``__init__`` and implement ``forward``.  Instances are callable.
+    Subclasses assign :class:`Parameter` and :class:`Module` attributes (or
+    lists of them, e.g. :class:`ModuleList`) in ``__init__`` and implement
+    ``forward``.  Instances are callable.
     """
 
     def __init__(self) -> None:
@@ -52,12 +56,6 @@ class Module:
                         yield f"{name}[{i}]", item
                     elif isinstance(item, Module):
                         yield from item.named_parameters(f"{name}[{i}]")
-            elif isinstance(value, dict):
-                for key, item in value.items():
-                    if isinstance(item, Parameter):
-                        yield f"{name}[{key}]", item
-                    elif isinstance(item, Module):
-                        yield from item.named_parameters(f"{name}[{key}]")
 
     def parameters(self) -> list:
         return [param for _, param in self.named_parameters()]
@@ -87,10 +85,6 @@ class Module:
                 value._set_mode(training)
             elif isinstance(value, (list, tuple)):
                 for item in value:
-                    if isinstance(item, Module):
-                        item._set_mode(training)
-            elif isinstance(value, dict):
-                for item in value.values():
                     if isinstance(item, Module):
                         item._set_mode(training)
 

@@ -20,7 +20,6 @@ mechanism.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +28,7 @@ import numpy as np
 from repro.autograd import ModuleList, Tensor, no_grad, ops
 from repro.autograd.engine import SCORE_DTYPE
 from repro.autograd.segment import gather
+from repro.core import batching
 from repro.core.base import SubgraphScoringModel
 from repro.core.config import RMPIConfig
 from repro.core.disclosing import DisclosingAggregator
@@ -107,12 +107,6 @@ class RMPI(SubgraphScoringModel):
             use_disclosing=self.config.use_disclosing,
             clue_dim=clue_dim,
         )
-        # Bounded LRU of merge_plans outputs keyed by the identity of the
-        # (memoised) per-sample plans: epochs and serving loops that revisit
-        # the same batch skip the disjoint-union merge entirely.  Values
-        # keep the plan objects alive so ids can never be recycled.
-        self._merge_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._merge_cache_size = 64
 
     # ------------------------------------------------------------------
     def prepare(self, graph: KnowledgeGraph, triple: Triple) -> RMPISample:
@@ -222,7 +216,7 @@ class RMPI(SubgraphScoringModel):
         samples = list(samples)
         if not samples:
             raise ValueError("empty batch")
-        batched = self._merged_plan(samples)
+        batched = batching.merge_plans([sample.plan for sample in samples])
         features = self.embedding(batched.node_relations)
         num_layers = len(self.layers)
         for k, layer in enumerate(self.layers):
@@ -291,34 +285,9 @@ class RMPI(SubgraphScoringModel):
 
         return self.head(enclosing, disclosing, entity_clue)
 
-    def _merged_plan(self, samples):
-        """Memoised :func:`~repro.core.batching.merge_plans` over the
-        (already-memoised) per-sample plans, keyed by plan identity.
-
-        Only populated in eval mode: those are the batches that actually
-        repeat (ranking candidate lists, coalesced serving queries,
-        benchmarks).  Training batches reshuffle and re-sample negatives
-        every step, so caching there would only pin dead plans.
-        """
-        from repro.core.batching import merge_plans
-
-        key = tuple(id(sample.plan) for sample in samples)  # repro-lint: disable=RL003 cache values store the plan list, pinning every keyed plan
-        hit = self._merge_cache.get(key)
-        if hit is not None:
-            self._merge_cache.move_to_end(key)
-            return hit[1]
-        batched = merge_plans([sample.plan for sample in samples])
-        if not self.training:
-            self._merge_cache[key] = (
-                [sample.plan for sample in samples],
-                batched,
-            )
-            if len(self._merge_cache) > self._merge_cache_size:
-                self._merge_cache.popitem(last=False)
-        return batched
-
     def score_batch_fused(self, graph: KnowledgeGraph, triples) -> Tensor:
-        """Prepare (memoised, batch-extracted) and score in one fused pass."""
+        """Prepare (memoised for training, batch-extracted) and score in one
+        fused pass."""
         return self.score_samples_batched(self.prepared_many(graph, list(triples)))
 
     def score_triples_fused(self, graph: KnowledgeGraph, triples) -> np.ndarray:
@@ -338,15 +307,13 @@ class RMPI(SubgraphScoringModel):
             # No-grad: the serving/eval forward allocates zero backward
             # closures (see repro.autograd.engine).
             with no_grad():
-                scores = self.score_batch_fused(graph, triples)
+                scores = self.score_samples_batched(
+                    self.prepare_many(graph, triples)
+                )
         finally:
             if was_training:
                 self.train()
         return np.asarray(scores.data, dtype=SCORE_DTYPE).reshape(-1)
-
-    def clear_cache(self) -> None:
-        super().clear_cache()
-        self._merge_cache.clear()
 
     # ------------------------------------------------------------------
     @property

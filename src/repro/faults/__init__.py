@@ -4,9 +4,9 @@ Public surface::
 
     from repro.faults import FaultPlan, FaultSpec, inject
 
-    plan = FaultPlan([FaultSpec(op="prepare", kind="kill", rank=1)])
+    plan = FaultPlan([FaultSpec(op="score_queries", kind="kill", rank=1)])
     with inject(plan):
-        preparer.prepare_many(graph, triples)   # rank 1 dies, pool heals
+        evaluator.entity_prediction(triples, rng)   # rank 1 dies, pool heals
 
 The default active plan is a no-op; production code paths consult
 :func:`active_plan` and proceed untouched unless a plan was activated via

@@ -1,12 +1,10 @@
 """`repro.parallel` — multi-process execution layer.
 
-Four entry points over one fork-based, rank-addressed
+Three entry points over one fork-based, rank-addressed
 :class:`~repro.parallel.pool.WorkerPool` (heavy read-only state — graph,
 model, registry — is inherited copy-on-write; only payloads and results
 are pickled):
 
-* :class:`~repro.parallel.prepare.ShardedPreparer` — batched sample
-  preparation sharded across workers, merged in input order;
 * :class:`~repro.parallel.trainer.DataParallelTrainer` — per-batch
   gradient sharding with a parameter-server average before the Adam step;
 * :class:`~repro.parallel.evaluation.ParallelEvaluator` — ranking/
@@ -37,7 +35,6 @@ from repro.parallel.pool import (
     register_op,
     usable_cpus,
 )
-from repro.parallel.prepare import ShardedPreparer
 from repro.parallel.serving import known_keys, score_batch_sharded, scoring_pool
 from repro.parallel.sharding import (
     merge_shards,
@@ -53,7 +50,6 @@ __all__ = [
     "DataParallelTrainer",
     "ParallelConfig",
     "ParallelEvaluator",
-    "ShardedPreparer",
     "WorkerError",
     "WorkerPool",
     "fork_available",

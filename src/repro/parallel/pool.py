@@ -17,15 +17,14 @@ and determinism suites rely on:
 * deterministic shard → process placement (no scheduler races);
 * per-rank RNG streams pinned at startup from ``(seed, rank)`` via
   :mod:`repro.utils.seeding`, so dropout draws are reproducible run to run;
-* per-rank sample caches stay coherent: the same rank re-prepares the same
-  shard across epochs.
+* per-rank sample memos stay coherent: the same rank re-prepares the same
+  shard across training epochs.
 
 Operations are plain functions registered with :func:`register_op`; they
 receive a per-worker ``state`` dict (``context`` + ``rank`` + ``rng``) and
-the payload.  Consumer modules (:mod:`repro.parallel.prepare`,
-:mod:`repro.parallel.trainer`, :mod:`repro.parallel.evaluation`,
-:mod:`repro.parallel.serving`) register theirs at import time, which the
-forked children inherit.
+the payload.  Consumer modules (:mod:`repro.parallel.trainer`,
+:mod:`repro.parallel.evaluation`, :mod:`repro.parallel.serving`) register
+theirs at import time, which the forked children inherit.
 
 ``workers=1`` (the default everywhere) never forks: ops run inline in the
 parent through the very same dispatch path, so the serial configuration is
@@ -313,8 +312,8 @@ class WorkerPool:
         # runs are recognised and discarded.
         self._seq = 0
         # Per-(op, rank) dispatch counters: the task_index axis of the
-        # fault-plan key, so chaos specs address "the Nth prepare dispatched
-        # to rank 2" deterministically.
+        # fault-plan key, so chaos specs address "the Nth score_queries
+        # dispatched to rank 2" deterministically.
         self._dispatch_counts: Dict[Tuple[str, int], int] = {}
         # One dispatch at a time: task ids are per-call and the results
         # queue is shared, so overlapping run() calls (e.g. the scheduler

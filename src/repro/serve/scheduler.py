@@ -12,8 +12,8 @@ model as a single batched ``score_triples`` invocation — asserted in the
 tests via the model's :class:`~repro.core.base.ScoringStats` counter.
 
 The single worker also serialises all model access, which is what makes
-the numpy models (mutable sample caches, train/eval toggling) safe to
-drive from the threaded HTTP frontend.
+the numpy models (train/eval toggling) safe to drive from the threaded
+HTTP frontend.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Run as ``PYTHONPATH=src python -m repro.serve.smoke`` (the CI serving job
 step).  Builds a small synthetic benchmark, registers an untrained
 RMPI-base scorer, boots the HTTP server on an ephemeral port, then issues
 a scored query, a top-k query, and a ``/metrics`` scrape through the thin
-client — asserting HTTP 200, well-formed JSON, and that the request
-histogram and cache counters made it into the registry.  Exit code 0 on
+client — asserting HTTP 200, well-formed JSON, that the request
+histogram and cache counters made it into the registry, and that scoring
+left the model's training-only sample memo empty.  Exit code 0 on
 success.
 
 ``--chaos`` instead boots a server with a tiny admission watermark and an
@@ -134,12 +135,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if "--chaos" in args:
         return chaos_main()
     benchmark = build_partial_benchmark("NELL-995", 1, scale=0.05, seed=0)
+    model = RMPI(benchmark.num_relations, seeded_rng(0), RMPIConfig(embed_dim=16))
     registry = ModelRegistry()
-    registry.register(
-        "RMPI-base",
-        RMPI(benchmark.num_relations, seeded_rng(0), RMPIConfig(embed_dim=16)),
-        meta={"benchmark": benchmark.name},
-    )
+    registry.register("RMPI-base", model, meta={"benchmark": benchmark.name})
     app = ServingApp(
         registry,
         benchmark.test_graph,
@@ -176,6 +174,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for row in predictions:
             assert isinstance(row.get("entity"), int), body
             assert isinstance(row.get("score"), float), body
+        # The sample memo serves training only; scoring never fills it.
+        assert model.cache_size() == 0, f"scoring memoised {model.cache_size()} samples"
 
         status, snap = client.request("GET", "/metrics")
         assert status == 200, f"/metrics returned {status}: {snap}"

@@ -5,7 +5,6 @@ from repro.train.checkpoint import (
     CheckpointMismatchError,
     checkpoint_metadata,
     load_checkpoint,
-    migrate_state_dict,
     resolve_checkpoint_path,
     save_checkpoint,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "train_model",
     "save_checkpoint",
     "load_checkpoint",
-    "migrate_state_dict",
     "checkpoint_metadata",
     "resolve_checkpoint_path",
     "CheckpointMismatchError",

@@ -16,16 +16,11 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.autograd.module import Module
-
-#: Pre-stacked-typed-linear checkpoints stored one ``(dim, dim)`` array per
-#: connection-pattern type under ``<prefix>.type_weights[<i>]``.
-_TYPE_WEIGHTS_KEY = re.compile(r"^(?P<prefix>.+)\.type_weights\[(?P<index>\d+)\]$")
 
 #: Bumped when the archive layout changes incompatibly.
 CHECKPOINT_FORMAT_VERSION = 1
@@ -104,45 +99,6 @@ def checkpoint_metadata(path: str) -> Dict[str, Any]:
         return json.loads(str(archive[META_KEY]))
 
 
-def migrate_state_dict(state: Dict[str, Any], model: Module) -> Dict[str, Any]:
-    """Upgrade legacy parameter layouts to fit the receiving ``model``.
-
-    Currently one migration: relational message passing layers used to hold
-    one ``(dim, dim)`` parameter per connection-pattern edge type
-    (``<layer>.type_weights[0..T-1]``); they now hold a single stacked
-    ``(T, dim, dim)`` parameter ``<layer>.weight``.  Complete per-type
-    groups whose stacked target exists on the receiving model (and is not
-    already present in the checkpoint) are stacked in index order.  Models
-    that still use per-type parameter lists (e.g. TACT) are untouched, as
-    is any incomplete or ambiguous group — ``load_state_dict`` then reports
-    the mismatch as usual.
-    """
-    groups: Dict[str, list] = {}
-    for key in state:
-        match = _TYPE_WEIGHTS_KEY.match(key)
-        if match:
-            groups.setdefault(match.group("prefix"), []).append(
-                (int(match.group("index")), key)
-            )
-    if not groups:
-        return state
-    own = {name for name, _ in model.named_parameters()}
-    migrated = dict(state)
-    for prefix, entries in groups.items():
-        target = f"{prefix}.weight"
-        if target not in own or target in state:
-            continue
-        if any(key in own for _, key in entries):
-            continue
-        entries.sort()
-        if [index for index, _ in entries] != list(range(len(entries))):
-            continue
-        migrated[target] = np.stack(
-            [np.asarray(migrated.pop(key)) for _, key in entries]
-        )
-    return migrated
-
-
 def load_checkpoint(model: Module, path: str) -> Dict[str, Any]:
     """Load parameters saved by :func:`save_checkpoint` into ``model``.
 
@@ -178,7 +134,6 @@ def load_checkpoint(model: Module, path: str) -> Dict[str, Any]:
                 f"{model.num_parameters()} — architecture mismatch "
                 "(check the model variant/config it was saved from)"
             )
-    state = migrate_state_dict(state, model)
     try:
         model.load_state_dict(state)
     except KeyError as error:

@@ -4,11 +4,15 @@ Training contrasts positive triples from the training graph against
 uniformly corrupted negatives with a margin ranking loss (eq. 12), using
 Adam (lr 1e-3), batch size 16 and margin 10 — the paper's configuration.
 
-Subgraph preparation is memoised inside the models, so epochs after the
-first are dominated by the numpy forward/backward passes.  By default the
-step is *one-pass*: positives and negatives ride a single merged scoring
-call (one disjoint-union forward and one backward per step instead of
-two), halving the engine's graph traversals.
+The differentiable scoring calls memoise subgraph preparation inside the
+model, so each positive is prepared once and revisited by later epochs
+(about a third of training lookups hit on the perfbench ``train``
+workload; fresh negatives mostly miss).  Validation scoring goes through
+``score_triples``, which prepares afresh and never fills the memo.
+
+By default the step is *one-pass*: positives and negatives ride a single
+merged scoring call (one disjoint-union forward and one backward per step
+instead of two), halving the engine's graph traversals.
 """
 
 from __future__ import annotations

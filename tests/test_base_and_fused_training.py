@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.autograd import Linear
 from repro.core import RMPI, RMPIConfig
 from repro.train import TrainingConfig, train_model
 
@@ -42,6 +43,40 @@ class TestBaseModelBehaviour:
         model = RMPI(family_graph.num_relations, np.random.default_rng(0))
         scores = model.score_batch(family_graph, [(0, 0, 1)])
         assert scores.shape == (1, 1)
+
+
+class TestSampleMemo:
+    """The sample memo serves the differentiable (training) entry points
+    only; scoring prepares afresh, and the module walk never reads it."""
+
+    def test_scoring_paths_leave_memo_empty(self, tiny_partial_benchmark):
+        bench = tiny_partial_benchmark
+        model = RMPI(
+            bench.num_relations,
+            np.random.default_rng(0),
+            RMPIConfig(embed_dim=8, use_disclosing=True),
+        )
+        triples = list(bench.train_triples)[:6]
+        model.score_triples(bench.train_graph, triples)
+        model.score_triples_fused(bench.train_graph, triples)
+        assert model.cache_size() == 0
+        model.train()
+        model.score_batch_fused(bench.train_graph, triples)
+        assert model.cache_size() == len(set(triples))
+
+    def test_module_walk_ignores_a_full_memo(self, family_graph):
+        model = RMPI(family_graph.num_relations, np.random.default_rng(0))
+        names = [name for name, _ in model.named_parameters()]
+        keys = sorted(model.state_dict())
+        rng = np.random.default_rng(1)
+        for i in range(10_000):
+            model._sample_cache[(0, (i, 0, i))] = Linear(2, 2, rng)
+        assert model.cache_size() == 10_000
+        assert [name for name, _ in model.named_parameters()] == names
+        assert sorted(model.state_dict()) == keys
+        model.eval()
+        assert not model.training
+        assert all(value.training for value in model._sample_cache.values())
 
 
 class TestFusedTraining:

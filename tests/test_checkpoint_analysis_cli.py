@@ -19,7 +19,6 @@ from repro.train import (
     CheckpointMismatchError,
     checkpoint_metadata,
     load_checkpoint,
-    migrate_state_dict,
     resolve_checkpoint_path,
     save_checkpoint,
 )
@@ -127,79 +126,34 @@ class TestCheckpointMetadata:
         )
 
 
-def _legacy_typed_weights_layout(state: dict) -> dict:
-    """Rewrite a current RMPI state dict into the PR-2-era layout: one
-    ``(dim, dim)`` array per connection-pattern type instead of the stacked
-    ``(T, dim, dim)`` layer parameter."""
-    legacy = {}
-    for name, value in state.items():
-        if name.startswith("layers.items[") and name.endswith("].weight"):
-            prefix = name[: -len(".weight")]
-            for i in range(value.shape[0]):
-                legacy[f"{prefix}.type_weights[{i}]"] = value[i]
-        else:
-            legacy[name] = value
-    return legacy
-
-
-class TestLegacyTypedWeightsMigration:
-    """PR-2-era checkpoints stored per-type W_e{i} parameters; loading must
-    stack them into the fused typed-linear parameter transparently."""
-
-    def _save_legacy_checkpoint(self, model, path):
+class TestPerTypeWeightsRejected:
+    def test_per_type_checkpoint_raises_mismatch(self, tmp_path, family_graph):
+        """Checkpoints that stored one ``(dim, dim)`` array per
+        connection-pattern type (``type_weights[i]``) predate the stacked
+        ``(T, dim, dim)`` layer weight and no longer load."""
         import json
 
-        state = _legacy_typed_weights_layout(model.state_dict())
+        model = RMPI(family_graph.num_relations, np.random.default_rng(0))
+        state = {}
+        for name, value in model.state_dict().items():
+            if name.startswith("layers.items[") and name.endswith("].weight"):
+                prefix = name[: -len(".weight")]
+                for i in range(value.shape[0]):
+                    state[f"{prefix}.type_weights[{i}]"] = value[i]
+            else:
+                state[name] = value
         meta = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
-            "model_class": type(model).__name__,
+            "model_class": "RMPI",
             "num_parameters": int(model.num_parameters()),
         }
+        path = str(tmp_path / "per_type.npz")
         np.savez(path, **state, **{"__meta__": np.asarray(json.dumps(meta))})
-        return path
-
-    def test_legacy_layout_loads_and_preserves_scores(self, tmp_path, family_graph):
-        model = RMPI(family_graph.num_relations, np.random.default_rng(0))
-        model.eval()
-        expected = model.score_triples(family_graph, [(0, 0, 1), (2, 1, 0)])
-        path = self._save_legacy_checkpoint(model, str(tmp_path / "legacy.npz"))
-
-        clone = RMPI(family_graph.num_relations, np.random.default_rng(42))
-        load_checkpoint(clone, path)
-        clone.eval()
-        np.testing.assert_array_equal(
-            clone.score_triples(family_graph, [(0, 0, 1), (2, 1, 0)]), expected
-        )
-
-    def test_migrate_state_dict_stacks_in_index_order(self, family_graph):
-        model = RMPI(family_graph.num_relations, np.random.default_rng(0))
-        legacy = _legacy_typed_weights_layout(model.state_dict())
-        migrated = migrate_state_dict(legacy, model)
-        for name, param in model.named_parameters():
-            assert name in migrated
-            np.testing.assert_array_equal(migrated[name], param.data)
-
-    def test_per_type_parameter_models_untouched(self, family_graph):
-        from repro.baselines import TACT
-
-        tact = TACT(family_graph.num_relations, np.random.default_rng(0))
-        state = tact.state_dict()
-        migrated = migrate_state_dict(dict(state), tact)
-        assert set(migrated) == set(state)
-        tact.load_state_dict(migrated)  # still loads cleanly
-
-    def test_incomplete_group_left_for_mismatch_error(self, tmp_path, family_graph):
-        model = RMPI(family_graph.num_relations, np.random.default_rng(0))
-        legacy = _legacy_typed_weights_layout(model.state_dict())
-        dropped = next(k for k in legacy if ".type_weights[0]" in k)
-        del legacy[dropped]
-        prefix = dropped.split(".type_weights[")[0]
-        migrated = migrate_state_dict(legacy, model)
-        # The non-contiguous group is not stacked; load_state_dict then
-        # reports the mismatch instead of silently mis-ordering slices.
-        assert f"{prefix}.weight" not in migrated
-        with pytest.raises(KeyError):
-            model.load_state_dict(migrated)
+        with pytest.raises(CheckpointMismatchError) as excinfo:
+            load_checkpoint(model, path)
+        message = str(excinfo.value)
+        assert "layers.items[0].type_weights[0]" in message
+        assert "layers.items[0].weight" in message
 
 
 class TestCheckpointPathResolution:

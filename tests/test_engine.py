@@ -1,5 +1,6 @@
 """Engine policy tests: no-grad mode, dtype policy, optimizer fast paths,
-one-pass training, merge-plan reuse, and float32/float64 score parity."""
+one-pass training, repeatable fused scores, and float32/float64 score
+parity."""
 
 import numpy as np
 import pytest
@@ -244,52 +245,7 @@ class TestOnePassTrainingStep:
         assert history.losses[-1] < history.losses[0]
 
 
-class TestMergePlanReuse:
-    def test_repeated_batches_reuse_merged_plan(self, tiny_partial_benchmark):
-        bench = tiny_partial_benchmark
-        model = make_model(bench)
-        model.eval()
-        triples = list(bench.train_triples)[:5]
-        samples = model.prepared_many(bench.train_graph, triples)
-        first = model._merged_plan(samples)
-        second = model._merged_plan(samples)
-        assert first is second
-        assert len(model._merge_cache) == 1
-
-    def test_cache_bounded(self, tiny_partial_benchmark):
-        bench = tiny_partial_benchmark
-        model = make_model(bench)
-        model.eval()
-        model._merge_cache_size = 2
-        triples = list(bench.train_triples)[:6]
-        samples = model.prepared_many(bench.train_graph, triples)
-        for i in range(4):
-            model._merged_plan(samples[i : i + 2])
-        assert len(model._merge_cache) <= 2
-
-    def test_training_mode_does_not_populate_cache(self, tiny_partial_benchmark):
-        bench = tiny_partial_benchmark
-        model = make_model(bench)
-        model.train()
-        samples = model.prepared_many(
-            bench.train_graph, list(bench.train_triples)[:3]
-        )
-        model._merged_plan(samples)
-        # Training batches never repeat (reshuffle + fresh negatives), so
-        # caching there would only pin dead plans.
-        assert len(model._merge_cache) == 0
-
-    def test_clear_cache_clears_merges(self, tiny_partial_benchmark):
-        bench = tiny_partial_benchmark
-        model = make_model(bench)
-        model.eval()
-        samples = model.prepared_many(
-            bench.train_graph, list(bench.train_triples)[:3]
-        )
-        model._merged_plan(samples)
-        model.clear_cache()
-        assert len(model._merge_cache) == 0
-
+class TestFusedScoreRepeatability:
     def test_scores_consistent_through_cache(self, tiny_partial_benchmark):
         bench = tiny_partial_benchmark
         model = make_model(bench, use_disclosing=True)

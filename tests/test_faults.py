@@ -34,7 +34,6 @@ from repro.kg import TripleSet
 from repro.obs import MetricsRegistry, set_registry
 from repro.parallel import (
     ParallelEvaluator,
-    ShardedPreparer,
     WorkerError,
     WorkerPool,
 )
@@ -44,7 +43,6 @@ from repro.train import ParallelConfig, TrainingConfig
 
 from test_parallel_equivalence import (
     TRIPLES,
-    assert_samples_equal,
     capped,
     make_model,
     small_graph,
@@ -242,20 +240,24 @@ class TestPoolChaos:
     def test_kill_at_every_rank_prepare_parity(
         self, workers, max_workers, obs_registry
     ):
-        """The acceptance bar: kill -9 at each rank in turn; the sharded
-        prepare must still be bitwise identical to the serial run."""
+        """The acceptance bar: kill -9 at each rank in turn while it
+        prepares and scores its share of the ranking queries; the parallel
+        ranking must still be bitwise identical to the serial run."""
         workers = capped(workers, max_workers)
         graph = small_graph()
-        targets = TRIPLES[:7]
-        reference = make_model().prepare_many(graph, targets)
+        targets = TripleSet(TRIPLES[:7])
+        reference = evaluate_entity_prediction(
+            make_model(), graph, targets, np.random.default_rng(5), num_negatives=7
+        )
         model = make_model()
-        with ShardedPreparer(model, graph, workers=workers) as preparer:
+        with ParallelEvaluator(model, graph, workers=workers) as evaluator:
             for rank in range(workers):
-                model.clear_cache()
-                with inject(kill_once("prepare", rank)) as plan:
-                    produced = preparer.prepare_many(graph, targets)
+                with inject(kill_once("score_queries", rank)) as plan:
+                    produced = evaluator.entity_prediction(
+                        targets, np.random.default_rng(5), num_negatives=7
+                    )
                 assert plan.fired() == 1, f"kill at rank {rank} never fired"
-                assert_samples_equal(reference, produced)
+                assert produced == reference
         assert obs_registry.counter_value("parallel.pool.restarts") == workers
 
     def test_kill_during_parallel_eval_is_bitwise(self, max_workers, obs_registry):

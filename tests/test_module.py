@@ -13,7 +13,6 @@ class Net(Module):
         self.fc2 = Linear(8, 2, rng)
         self.blocks = ModuleList([Linear(2, 2, rng) for _ in range(2)])
         self.extra = Parameter(np.zeros(3), name="extra")
-        self.lookup = {"a": Linear(2, 2, rng)}
 
     def forward(self, x):
         return self.fc2(self.fc1(x))
@@ -27,12 +26,19 @@ class TestParameterTraversal:
         assert "fc1.bias" in names
         assert "blocks.items[0].weight" in names
         assert "extra" in names
-        assert "lookup[a].weight" in names
+
+    def test_dict_attribute_is_not_traversed(self, rng):
+        net = Net(rng)
+        net.lookup = {"a": Linear(2, 2, rng)}
+        names = [name for name, _ in net.named_parameters()]
+        assert not any(name.startswith("lookup") for name in names)
+        net.eval()
+        assert net.lookup["a"].training
 
     def test_parameters_count(self, rng):
         net = Net(rng)
-        # fc1(2) + fc2(2) + 2 blocks(2 each) + extra + lookup(2) = 11
-        assert len(net.parameters()) == 11
+        # fc1(2) + fc2(2) + 2 blocks(2 each) + extra = 9
+        assert len(net.parameters()) == 9
 
     def test_num_parameters(self, rng):
         lin = Linear(4, 8, rng)

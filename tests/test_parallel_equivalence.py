@@ -4,7 +4,6 @@ Every parallel entry point must reproduce its serial counterpart across
 worker counts {1, 2, 4}, including odd batch sizes and shards that come
 out empty (fewer items than ranks):
 
-* sharded prepare     — identical samples, field by field;
 * data-parallel step  — equivalent gradients/parameters (float-summation
   order differs across shards, so tolerance-based; workers=1 is bitwise);
 * parallel evaluation — **bitwise** identical metrics (candidate drawing
@@ -34,7 +33,6 @@ from repro.eval.protocol import (
 from repro.kg import KnowledgeGraph, TripleSet
 from repro.parallel import (
     ParallelEvaluator,
-    ShardedPreparer,
     WorkerError,
     WorkerPool,
     merge_shards,
@@ -86,25 +84,6 @@ def capped(workers: int, max_workers: int) -> int:
     return workers
 
 
-def assert_samples_equal(reference, produced):
-    assert len(reference) == len(produced)
-    for ref, got in zip(reference, produced):
-        assert ref.triple == got.triple
-        assert ref.enclosing_empty == got.enclosing_empty
-        assert np.array_equal(ref.plan.node_ids, got.plan.node_ids)
-        assert np.array_equal(ref.plan.node_relations, got.plan.node_relations)
-        assert np.array_equal(ref.plan.hops, got.plan.hops)
-        assert ref.plan.target_index == got.plan.target_index
-        assert len(ref.plan.layers) == len(got.plan.layers)
-        for ref_layer, got_layer in zip(ref.plan.layers, got.plan.layers):
-            assert np.array_equal(ref_layer.edges, got_layer.edges)
-            assert np.array_equal(ref_layer.update_nodes, got_layer.update_nodes)
-        if ref.disclosing_relations is None:
-            assert got.disclosing_relations is None
-        else:
-            assert np.array_equal(ref.disclosing_relations, got.disclosing_relations)
-
-
 # ----------------------------------------------------------------------
 class TestSharding:
     def test_balanced_contiguous(self):
@@ -143,24 +122,24 @@ class TestWorkerPool:
                 pool.run("no-such-op", [None])
 
     def test_too_many_payloads(self):
-        with WorkerPool(1) as pool:
+        with WorkerPool(1, context={"tag": "t"}) as pool:
             with pytest.raises(ValueError):
-                pool.run("prepare", [pack_triples([]), pack_triples([])])
+                pool.run("parity.tag", ["a", "b"])
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_op_errors_propagate(self, workers, max_workers):
         workers = capped(workers, max_workers)
-        with WorkerPool(workers, context={"model": None, "graph": None}) as pool:
-            # A None model makes the prepare op raise inside the worker.
-            with pytest.raises((WorkerError, AttributeError)):
-                pool.run("prepare", [pack_triples([(0, 0, 1)])] * workers)
+        with WorkerPool(workers, context={}) as pool:
+            # A context without a tag makes the op raise inside the worker.
+            with pytest.raises((WorkerError, KeyError)):
+                pool.run("parity.tag", ["a"] * workers)
 
     def test_close_is_idempotent(self):
         pool = WorkerPool(2, context={})
         pool.close()
         pool.close()
         with pytest.raises(RuntimeError):
-            pool.run("prepare", [pack_triples([])])
+            pool.run("parity.tag", ["a"])
 
     def test_concurrent_spawns_keep_contexts_distinct(self, max_workers):
         """Regression: ``_spawn`` used to publish the module-global
@@ -190,67 +169,6 @@ class TestWorkerPool:
         assert set(results) == {"pool-0", "pool-1"}
         for tag, produced in results.items():
             assert produced == [(tag, tag)] * workers
-
-
-# ----------------------------------------------------------------------
-class TestShardedPrepare:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("batch", (0, 1, 3, 7))  # odd + fewer-than-ranks
-    def test_matches_serial_prepare(self, workers, batch, max_workers):
-        workers = capped(workers, max_workers)
-        graph = small_graph()
-        targets = [TRIPLES[i % len(TRIPLES)] for i in range(batch)]
-        reference = make_model().prepare_many(graph, targets)
-        model = make_model()
-        with ShardedPreparer(model, graph, workers=workers) as preparer:
-            produced = preparer.prepare_many(graph, targets)
-        assert_samples_equal(reference, produced)
-
-    def test_populates_parent_cache(self):
-        graph = small_graph()
-        model = make_model()
-        with ShardedPreparer(model, graph, workers=2) as preparer:
-            preparer.prepare_many(graph, TRIPLES[:5])
-        assert model.cache_size() == 5
-        # Scoring after a parallel prepare must not re-prepare anything.
-        before = model.cache_size()
-        model.score_triples(graph, TRIPLES[:5])
-        assert model.cache_size() == before
-
-    def test_rejects_foreign_graph(self):
-        graph = small_graph()
-        model = make_model()
-        with ShardedPreparer(model, graph, workers=2) as preparer:
-            with pytest.raises(ValueError):
-                preparer.prepare_many(small_graph(), TRIPLES[:2])
-
-    @pytest.mark.slow
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        workers=st.sampled_from(WORKER_COUNTS),
-        batch=st.integers(min_value=0, max_value=10),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_randomized_graphs(self, seed, workers, batch):
-        rng = np.random.default_rng(seed)
-        num_entities, num_relations = 8, 5
-        rows = rng.integers(0, [num_entities, num_relations, num_entities], (20, 3))
-        graph = KnowledgeGraph(
-            TripleSet([tuple(map(int, row)) for row in rows]),
-            num_entities=num_entities,
-            num_relations=num_relations,
-        )
-        targets = [
-            tuple(map(int, rows[i % len(rows)])) for i in range(batch)
-        ]
-        reference = RMPI(
-            num_relations, np.random.default_rng(0), RMPIConfig(embed_dim=8)
-        ).prepare_many(graph, targets)
-        model = RMPI(
-            num_relations, np.random.default_rng(0), RMPIConfig(embed_dim=8)
-        )
-        with ShardedPreparer(model, graph, workers=workers) as preparer:
-            assert_samples_equal(reference, preparer.prepare_many(graph, targets))
 
 
 # ----------------------------------------------------------------------

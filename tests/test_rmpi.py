@@ -10,7 +10,7 @@ from repro.core import RMPI, RMPIConfig
 from repro.core.disclosing import DisclosingAggregator
 from repro.core.layers import RelationalMessagePassingLayer
 from repro.core.scoring import ScoringHead
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.kg import KnowledgeGraph
 
 
@@ -242,18 +242,18 @@ class TestNEParity:
             assert np.array_equal(relations, reference)
             assert not relations.flags.writeable
 
-        # The reference model has the same weights and scores samples that
-        # carry the extraction-built neighbourhoods.
-        reference_model = RMPI(num_relations, np.random.default_rng(0), config)
-        reference_model.install_samples(
-            graph,
-            candidates,
-            [
-                dataclasses.replace(s, disclosing_relations=e)
-                for s, e in zip(samples, expected)
-            ],
-        )
-        for score in ("score_triples_fused", "score_triples"):
-            got = getattr(model, score)(graph, candidates)
-            want = getattr(reference_model, score)(graph, candidates)
-            assert np.array_equal(got, want), score
+        # The same weights must score the extraction-built neighbourhoods
+        # bitwise like the CSR-built ones, on both scoring paths.
+        reference = [
+            dataclasses.replace(s, disclosing_relations=e)
+            for s, e in zip(samples, expected)
+        ]
+        model.eval()
+        with no_grad():
+            want_fused = model.score_samples_batched(reference).data.reshape(-1)
+            want = [
+                float(model.score_sample(sample).data.reshape(-1)[0])
+                for sample in reference
+            ]
+        assert np.array_equal(model.score_triples_fused(graph, candidates), want_fused)
+        assert np.array_equal(model.score_triples(graph, candidates), want)
