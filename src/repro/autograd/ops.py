@@ -532,8 +532,3 @@ def maximum(a: TensorLike, b: TensorLike) -> Tensor:
         return unbroadcast(grad_a, a.shape), unbroadcast(grad_b, b.shape)
 
     return Tensor(out_data, parents=(a, b), backward_fn=backward)
-
-
-def l2_norm_squared(a: Tensor) -> Tensor:
-    """Sum of squares of all elements (used for weight decay terms)."""
-    return sum(mul(a, a))

@@ -13,7 +13,7 @@ reads like standard deep-learning code.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -318,10 +318,3 @@ def as_tensor(value: Union[Tensor, ArrayLike]) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
-
-
-def stack_tensors(tensors: Iterable[Tensor]) -> Tensor:
-    """Stack 1-D/2-D tensors along a new leading axis (differentiable)."""
-    from repro.autograd import ops
-
-    return ops.stack(list(tensors))

@@ -43,7 +43,11 @@ from repro.subgraph.linegraph import (
     build_relational_graphs_many,
     target_one_hop_relations_many,
 )
-from repro.subgraph.pruning import MessagePlan, build_message_plans_many
+from repro.subgraph.pruning import (
+    MessagePlan,
+    build_message_plans_many,
+    empty_message_plan,
+)
 
 
 @dataclass(frozen=True)
@@ -117,10 +121,13 @@ class RMPI(SubgraphScoringModel):
 
         Enclosing subgraphs for the whole batch come from
         :func:`extract_subgraphs_many`, so the 50 candidates of one ranking
-        query share their K-hop frontier BFS; the relation-view transforms
-        and Algorithm-1 plan compilations likewise run through the batched
-        :func:`build_relational_graphs_many` /
-        :func:`build_message_plans_many` kernels in one pass each.  The NE
+        query share their K-hop frontier BFS.  Only the non-empty subgraphs
+        go on to the batched relation-view transform and Algorithm-1
+        compiler (:func:`build_relational_graphs_many` /
+        :func:`build_message_plans_many`, one pass each).  An empty one
+        (§III-F) gets the shared read-only :func:`empty_message_plan` of
+        its relation: a lone node that every layer passes through
+        unchanged, so the fused forward needs no special case.  The NE
         variant needs only the target's one-hop relational neighbourhood in
         the disclosing subgraph (eq. 13), which
         :func:`target_one_hop_relations_many` reads straight from the
@@ -134,11 +141,19 @@ class RMPI(SubgraphScoringModel):
             if self.config.use_disclosing
             else [None] * len(triples)
         )
-        relationals = build_relational_graphs_many(enclosings)
-        plans = build_message_plans_many(relationals, self.config.num_layers)
+        num_layers = self.config.num_layers
+        empties = [enclosing.is_empty for enclosing in enclosings]
+        compiled = iter(
+            build_message_plans_many(
+                build_relational_graphs_many(
+                    [e for e, empty in zip(enclosings, empties) if not empty]
+                ),
+                num_layers,
+            )
+        )
         samples: list = []
-        for triple, enclosing, disclosing_relations, plan in zip(
-            triples, enclosings, neighbourhoods, plans
+        for triple, enclosing, empty, disclosing_relations in zip(
+            triples, enclosings, empties, neighbourhoods
         ):
             entity_clue: Optional[np.ndarray] = None
             if self.config.use_entity_clues:
@@ -150,9 +165,13 @@ class RMPI(SubgraphScoringModel):
             samples.append(
                 RMPISample(
                     triple=triple,
-                    plan=plan,
+                    plan=(
+                        empty_message_plan(triple[1], num_layers)
+                        if empty
+                        else next(compiled)
+                    ),
                     disclosing_relations=disclosing_relations,
-                    enclosing_empty=enclosing.is_empty,
+                    enclosing_empty=empty,
                     entity_clue=entity_clue,
                 )
             )

@@ -35,7 +35,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs import get_registry
 
@@ -265,8 +265,3 @@ class inject:
     def __exit__(self, *exc_info: object) -> None:
         global _ACTIVE
         _ACTIVE = self._previous
-
-
-def iter_specs(plan: FaultPlan) -> Iterator[FaultSpec]:
-    """Convenience for reporting/debugging tools."""
-    return iter(plan.specs)

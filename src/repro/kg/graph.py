@@ -14,7 +14,10 @@ The CSR index is three numpy arrays:
 
 Every edge ``(h, r, t)`` contributes the entries ``h -> t`` and (when
 ``h != t``) ``t -> h``; per entity, entries are sorted by edge id, which
-matches the order the old pure-Python incident lists were built in.
+matches the order the old pure-Python incident lists were built in.  The
+same pass flags the entities that carry a self-loop
+(:meth:`KnowledgeGraph.self_loop_mask`), which enclosing extraction needs
+to decide empty subgraphs early.
 
 K-hop frontiers are additionally memoised in a bounded
 :class:`NeighborhoodCache` (LRU, keyed on ``(entity, num_hops)``): the
@@ -152,6 +155,8 @@ class KnowledgeGraph:
         self._csr_indptr: Optional[np.ndarray] = None
         self._csr_indices: Optional[np.ndarray] = None
         self._csr_edge_ids: Optional[np.ndarray] = None
+        # Per-entity "has a self-loop" flags, built alongside the CSR.
+        self._self_loops: Optional[np.ndarray] = None
         # Reusable all-False scratch mask for induced-edge lookup (callers
         # reset the entries they set, keeping allocation out of the hot path).
         self._entity_scratch: Optional[np.ndarray] = None
@@ -246,6 +251,10 @@ class KnowledgeGraph:
         indptr = np.zeros(self.num_entities + 1, dtype=np.int64)
         if len(src):
             np.cumsum(np.bincount(src, minlength=self.num_entities), out=indptr[1:])
+        self_loops = np.zeros(self.num_entities, dtype=bool)
+        self_loops[heads[~non_self]] = True
+        self_loops.setflags(write=False)
+        self._self_loops = self_loops
         self._csr_indptr = indptr
 
     def _gather_csr(self, entities: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -301,6 +310,12 @@ class KnowledgeGraph:
         entity = self._check_entity(entity)
         self._ensure_csr()
         return int(self._csr_indptr[entity + 1] - self._csr_indptr[entity])
+
+    def self_loop_mask(self) -> np.ndarray:
+        """Read-only bool array: ``mask[e]`` is True when some edge
+        ``(e, r, e)`` exists."""
+        self._ensure_csr()
+        return self._self_loops
 
     def edge(self, edge_index: int) -> Triple:
         return self.triples[edge_index]

@@ -100,9 +100,6 @@ class Ontology:
         parents = set(self.concept_parent)
         return [c for c in range(self.num_concepts) if c not in parents or c == 0 and self.num_concepts == 1]
 
-    def rules_for_head(self, relation: int) -> List[CompositionRule]:
-        return [rule for rule in self.compositions if rule.head == relation]
-
     def restricted_rules(self, relations: Set[int]) -> "Ontology":
         """A view keeping only rules fully contained in ``relations``."""
         return Ontology(

@@ -27,6 +27,7 @@ from repro.subgraph.pruning import (
     MessagePlan,
     build_message_plan,
     build_message_plans_many,
+    empty_message_plan,
     full_graph_plan,
     incoming_hops,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "MessagePlan",
     "build_message_plan",
     "build_message_plans_many",
+    "empty_message_plan",
     "full_graph_plan",
     "incoming_hops",
 ]

@@ -33,6 +33,24 @@ pure-Python dict/set BFS it replaced is kept as the
 ``legacy_extract_enclosing_subgraph`` oracle in
 ``tests/oracles/extraction.py``; the equivalence property suite asserts
 both produce identical :class:`ExtractedSubgraph` values.
+
+Most targets of a sparse graph have an empty enclosing subgraph (§III-F),
+and :func:`extract_subgraphs_many` decides those from the frontiers alone,
+before inducing any edge:
+
+    For K >= 1, if N_K(u) ∩ N_K(v) = ∅ and neither u nor v has a
+    self-loop, the enclosing subgraph of (u, r_t, v) is empty.
+
+*Proof.*  The node universe is the intersection plus the targets, here
+just {u, v}, so the only edges it can induce are self-loops on u or v and
+u–v edges.  There are no self-loops by assumption.  A u–v edge would put v
+in N_1(u) ⊆ N_K(u), and v ∈ N_K(v), so the intersection would not be
+empty.  Hence no edge is induced.  K >= 1 is needed for the step
+N_1(u) ⊆ N_K(u): at K = 0 the frontiers are {u} and {v}, disjoint for
+u ≠ v, yet a u–v edge of another relation (say ``(0,1,1)`` beside the
+target ``(0,0,1)``) survives the target-edge removal.  Targets that fail
+the check (including those that end up empty only after the removal)
+take the full path.
 """
 
 from __future__ import annotations
@@ -113,6 +131,7 @@ def _masked_bfs_distances(
 
 _EMPTY_EDGES = np.empty((0, 3), dtype=np.int64)
 _EMPTY_EDGES.setflags(write=False)
+_NO_TRIPLES = TripleSet.from_trusted_array(_EMPTY_EDGES)
 
 
 def _insert_sorted(nodes: np.ndarray, entity: int) -> np.ndarray:
@@ -125,15 +144,32 @@ def _insert_sorted(nodes: np.ndarray, entity: int) -> np.ndarray:
     )
 
 
+def _empty_subgraph(
+    head: int, relation: int, tail: int, num_hops: int
+) -> ExtractedSubgraph:
+    """The subgraph of a target with no surviving edge: only the targets."""
+    entities = (head,) if head == tail else (min(head, tail), max(head, tail))
+    return ExtractedSubgraph(
+        head=head,
+        relation=relation,
+        tail=tail,
+        entities=entities,
+        triples=_NO_TRIPLES,
+        num_hops=num_hops,
+        distances_u={head: 0},
+        distances_v={tail: 0},
+    )
+
+
 def _extract_one_vectorized(
     graph: KnowledgeGraph,
     head: int,
     relation: int,
     tail: int,
     num_hops: int,
+    neighbors_u: np.ndarray,
+    neighbors_v: np.ndarray,
 ) -> ExtractedSubgraph:
-    neighbors_u = graph.khop_nodes(head, num_hops)
-    neighbors_v = graph.khop_nodes(tail, num_hops)
     nodes = np.intersect1d(neighbors_u, neighbors_v, assume_unique=True)
     # The targets always belong to the node universe, even when outside the
     # intersection (khop frontiers always contain their own source, so at
@@ -153,18 +189,8 @@ def _extract_one_vectorized(
     tail_pos = int(nodes.searchsorted(tail))
 
     if len(edges) == 0:
-        # Nothing survives the target-edge removal: only the targets stay.
-        entities = (head,) if head == tail else (min(head, tail), max(head, tail))
-        return ExtractedSubgraph(
-            head=head,
-            relation=relation,
-            tail=tail,
-            entities=entities,
-            triples=TripleSet.from_trusted_array(_EMPTY_EDGES),
-            num_hops=num_hops,
-            distances_u={head: 0},
-            distances_v={tail: 0},
-        )
+        # Nothing survives the target-edge removal.
+        return _empty_subgraph(head, relation, tail, num_hops)
 
     # Compact endpoint indices into ``nodes``, mirrored for undirected BFS.
     count = nodes.size
@@ -229,14 +255,56 @@ def extract_subgraphs_many(
     num_hops:
         K, the extraction radius.
     """
+    triples = [(int(t[0]), int(t[1]), int(t[2])) for t in triples]
     with span("prepare.extract"):
-        subgraphs = [
+        subgraphs = _extract_many(graph, triples, num_hops)
+    registry = get_registry()
+    registry.counter("prepare.subgraphs").inc(len(subgraphs))
+    registry.counter("prepare.empty_subgraphs").inc(
+        sum(1 for subgraph in subgraphs if subgraph.is_empty)
+    )
+    return subgraphs
+
+
+def _extract_many(
+    graph: KnowledgeGraph, triples: List[Triple], num_hops: int
+) -> List[ExtractedSubgraph]:
+    """Extract in input order, deciding disjoint-frontier targets early.
+
+    One side's frontier is marked in a boolean mask and each target's other
+    frontier is tested against it.  The marked side is the one with fewer
+    distinct entities (a ranking query's shared head or tail), so the mask
+    is set once per run of equal entities rather than once per target.
+    The rule needs K >= 1 (see the module docstring), so K = 0 extracts
+    every target in full.
+    """
+    decide_early = num_hops >= 1
+    mark_heads = len({t[0] for t in triples}) <= len({t[2] for t in triples})
+    self_loops = graph.self_loop_mask()
+    marked = np.zeros(graph.num_entities, dtype=bool)
+    marked_entity = -1
+    marked_frontier = np.empty(0, dtype=np.int64)
+    subgraphs: List[ExtractedSubgraph] = []
+    for head, relation, tail in triples:
+        neighbors_u = graph.khop_nodes(head, num_hops)
+        neighbors_v = graph.khop_nodes(tail, num_hops)
+        if decide_early and not (self_loops[head] or self_loops[tail]):
+            if mark_heads:
+                entity, frontier, probe = head, neighbors_u, neighbors_v
+            else:
+                entity, frontier, probe = tail, neighbors_v, neighbors_u
+            if entity != marked_entity:
+                marked[marked_frontier] = False
+                marked[frontier] = True
+                marked_entity, marked_frontier = entity, frontier
+            if not marked[probe].any():
+                subgraphs.append(_empty_subgraph(head, relation, tail, num_hops))
+                continue
+        subgraphs.append(
             _extract_one_vectorized(
-                graph, int(t[0]), int(t[1]), int(t[2]), num_hops
+                graph, head, relation, tail, num_hops, neighbors_u, neighbors_v
             )
-            for t in triples
-        ]
-    get_registry().counter("prepare.subgraphs").inc(len(subgraphs))
+        )
     return subgraphs
 
 

@@ -13,7 +13,9 @@ every node at every layer is wasteful.  Algorithm 1 instead:
 
 :func:`build_message_plan` precomputes, per layer, the destination node set
 and the edge rows to aggregate, so the model's forward pass is a sequence of
-vectorised gather/scatter operations.
+vectorised gather/scatter operations.  A target with an empty enclosing
+subgraph needs no compilation: :func:`empty_message_plan` is its shared
+singleton plan.
 
 The compiler (:func:`build_message_plans_many`, also behind
 :func:`build_message_plan`) runs boolean-mask BFS over the relational
@@ -28,6 +30,7 @@ equivalence property suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -280,6 +283,31 @@ def build_message_plan(graph: RelationalGraph, num_layers: int) -> MessagePlan:
     Thin wrapper over :func:`build_message_plans_many`.
     """
     return build_message_plans_many([graph], num_layers)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def empty_message_plan(relation: int, num_layers: int) -> MessagePlan:
+    """The plan of a target whose enclosing subgraph is empty, shared.
+
+    Such a target's relation-view graph is its lone node with no edge, so
+    the plan is one node at hop 0 that every layer updates from no edges:
+    field by field what :func:`build_message_plan` compiles for it.  One
+    read-only instance is built per ``(relation, num_layers)``, so the
+    cache holds at most one plan per relation id and layer count in use.
+    """
+    zero = np.zeros(1, dtype=np.int64)
+    relations = np.asarray([relation], dtype=np.int64)
+    no_edges = np.empty((0, 3), dtype=np.int64)
+    for array in (zero, relations, no_edges):
+        array.setflags(write=False)
+    layer = LayerPlan(edges=no_edges, update_nodes=zero)
+    return MessagePlan(
+        node_ids=zero,
+        node_relations=relations,
+        hops=zero,
+        target_index=0,
+        layers=(layer,) * num_layers,
+    )
 
 
 def full_graph_plan(graph: RelationalGraph, num_layers: int) -> MessagePlan:

@@ -8,6 +8,12 @@ distance maps — on arbitrary graphs, including self-loops, parallel
 relations, empty enclosing subgraphs, and K=1.  The disclosing subgraph
 has only the pure-Python implementation; its isolation-prune contract is
 checked directly.
+
+``extract_subgraphs_many`` decides most empty enclosing subgraphs from the
+K-hop frontiers alone (disjoint frontiers, no self-loop on either target,
+K >= 1) and never induces their edges; ``TestEarlyEmptyDecision`` pins
+that shortcut to the oracle on sparse multi-component graphs, where
+disjoint frontiers are common, and on the cases the rule must not cover.
 """
 
 import numpy as np
@@ -22,7 +28,7 @@ from repro.subgraph import (
     extract_enclosing_subgraph,
     extract_subgraphs_many,
 )
-
+from repro.subgraph import extraction
 
 
 def random_graph(seed: int, allow_self_loops: bool = True) -> KnowledgeGraph:
@@ -119,6 +125,111 @@ class TestEquivalenceEdgeCases:
     def test_non_fact_target(self):
         g = KnowledgeGraph.from_triples([(0, 0, 1), (1, 1, 2), (2, 0, 3)])
         assert_matches_oracle(g, (0, 3, 3), 2)
+
+
+def sparse_multicomponent_graph(seed: int) -> KnowledgeGraph:
+    """A few small components with about one edge per entity (some
+    entities isolated, an occasional self-loop)."""
+    rng = np.random.default_rng(seed)
+    num_entities = int(rng.integers(6, 30))
+    num_relations = int(rng.integers(1, 4))
+    component = rng.integers(int(rng.integers(2, 5)), size=num_entities)
+    triples = []
+    for _ in range(int(rng.integers(1, num_entities + 1))):
+        head = int(rng.integers(num_entities))
+        peers = np.flatnonzero(component == component[head])
+        tail = int(rng.choice(peers))
+        if tail == head and rng.random() > 0.2:
+            continue
+        triples.append((head, int(rng.integers(num_relations)), tail))
+    return KnowledgeGraph(TripleSet(triples), num_entities, num_relations)
+
+
+def assert_batch_matches_oracle(graph, targets, hops):
+    batch = extract_subgraphs_many(graph, targets, hops)
+    assert len(batch) == len(targets)
+    for target, sub in zip(targets, batch):
+        assert_identical(sub, legacy_extract_enclosing_subgraph(graph, target, hops))
+
+
+@pytest.fixture
+def forbid_full_extraction(monkeypatch):
+    """Fail if any target reaches edge induction (the full path)."""
+
+    def refuse(graph, head, relation, tail, *args):
+        raise AssertionError(f"({head}, {relation}, {tail}) took the full path")
+
+    monkeypatch.setattr(extraction, "_extract_one_vectorized", refuse)
+
+
+class TestEarlyEmptyDecision:
+    @given(seed=st.integers(0, 1000), hops=st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_multicomponent_graphs_match_oracle(self, seed, hops):
+        graph = sparse_multicomponent_graph(seed)
+        rng = np.random.default_rng(seed + 7)
+        n = graph.num_entities
+        anchor = int(rng.integers(n))
+        relation = int(rng.integers(graph.num_relations))
+        # A ranking query's candidates (shared head, then shared tail), a
+        # batch of unrelated pairs, and the graph's own facts.
+        tails = [(anchor, relation, int(e)) for e in rng.integers(n, size=8)]
+        heads = [(int(e), relation, anchor) for e in rng.integers(n, size=8)]
+        pairs = [
+            (int(rng.integers(n)), relation, int(rng.integers(n))) for _ in range(8)
+        ]
+        facts = list(graph.triples)[:8]
+        for targets in (tails, heads, pairs, facts + tails):
+            assert_batch_matches_oracle(graph, targets, hops)
+
+    def test_disjoint_frontiers_skip_edge_induction(self, forbid_full_extraction):
+        g = KnowledgeGraph.from_triples([(0, 0, 1), (1, 1, 2), (3, 0, 4)])
+        targets = [(0, 0, 3), (0, 1, 4), (3, 2, 0)]
+        subgraphs = extract_subgraphs_many(g, targets, 2)
+        assert all(sub.is_empty for sub in subgraphs)
+        assert [sub.entities for sub in subgraphs] == [(0, 3), (0, 4), (0, 3)]
+
+    @pytest.mark.parametrize("target", [(0, 1, 3), (3, 1, 0)])
+    def test_self_loop_on_either_target_keeps_its_edge(self, target):
+        # The frontiers of 0 and 3 are disjoint, but 0's self-loop lies in
+        # the node universe {0, 3} and survives.
+        g = KnowledgeGraph.from_triples([(0, 0, 0), (0, 1, 1), (3, 0, 4)])
+        sub = extract_subgraphs_many(g, [target], 2)[0]
+        assert not sub.is_empty
+        assert list(sub.triples) == [(0, 0, 0)]
+        assert_batch_matches_oracle(g, [target], 2)
+
+    def test_same_entity_target(self):
+        g = KnowledgeGraph.from_triples([(0, 0, 1)], num_entities=3)
+        assert_batch_matches_oracle(g, [(0, 1, 0), (2, 0, 2)], 2)
+        isolated = extract_subgraphs_many(g, [(2, 0, 2)], 2)[0]
+        assert isolated.is_empty and isolated.entities == (2,)
+
+    def test_adjacent_targets(self):
+        g = KnowledgeGraph.from_triples([(0, 1, 1), (2, 0, 3)])
+        # Another relation between u and v survives; the lone target edge
+        # itself is removed and leaves an empty subgraph.
+        kept, removed = extract_subgraphs_many(g, [(0, 0, 1), (0, 1, 1)], 1)
+        assert list(kept.triples) == [(0, 1, 1)]
+        assert removed.is_empty
+        assert_batch_matches_oracle(g, [(0, 0, 1), (0, 1, 1), (1, 0, 0)], 1)
+
+    def test_duplicate_target_copies(self):
+        # Every copy of the target edge is removed; duplicate targets in one
+        # batch each get their own subgraph.
+        g = KnowledgeGraph(TripleSet([(0, 0, 1), (0, 0, 1), (2, 0, 3)]), 4, 1)
+        targets = [(0, 0, 1), (0, 0, 3), (0, 0, 1), (0, 0, 3)]
+        subgraphs = extract_subgraphs_many(g, targets, 2)
+        assert [sub.is_empty for sub in subgraphs] == [True] * 4
+        assert_batch_matches_oracle(g, targets, 2)
+
+    def test_zero_hops_counterexample(self):
+        # At K = 0 the frontiers {0} and {1} are disjoint, yet the edge
+        # (0, 1, 1) lies in the node universe {0, 1} and survives.
+        g = KnowledgeGraph.from_triples([(0, 0, 1), (0, 1, 1)])
+        sub = extract_subgraphs_many(g, [(0, 0, 1)], 0)[0]
+        assert list(sub.triples) == [(0, 1, 1)]
+        assert_batch_matches_oracle(g, [(0, 0, 1)], 0)
 
 
 class TestDisclosingIsolationPrune:

@@ -9,6 +9,7 @@ from repro.kg import KnowledgeGraph, TripleSet
 from repro.subgraph import (
     build_message_plan,
     build_relational_graph,
+    empty_message_plan,
     extract_enclosing_subgraph,
     full_graph_plan,
     incoming_hops,
@@ -126,6 +127,41 @@ class TestMessagePlan:
             for src, _etype, dst in layer.edges:
                 assert plan.hops[dst] <= budget
                 assert plan.hops[src] <= budget + 1
+
+
+class TestEmptyMessagePlan:
+    """The shared plan of an empty enclosing subgraph is what the compiler
+    builds for its lone-node relational graph, and nobody can mutate it."""
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_equals_compiled_plan_field_by_field(self, num_layers):
+        g = KnowledgeGraph.from_triples([(0, 0, 1), (2, 1, 3)])
+        sub = extract_enclosing_subgraph(g, (0, 4, 3), num_hops=2)
+        assert sub.is_empty
+        compiled = build_message_plan(build_relational_graph(sub), num_layers)
+        shared = empty_message_plan(4, num_layers)
+        for name in ("node_ids", "node_relations", "hops"):
+            a, b = getattr(shared, name), getattr(compiled, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert shared.target_index == compiled.target_index
+        assert len(shared.layers) == len(compiled.layers) == num_layers
+        for mine, theirs in zip(shared.layers, compiled.layers):
+            for name in ("edges", "update_nodes"):
+                a, b = getattr(mine, name), getattr(theirs, name)
+                assert a.shape == b.shape and a.dtype == b.dtype, name
+                assert np.array_equal(a, b), name
+
+    def test_shared_and_read_only(self):
+        plan = empty_message_plan(2, 2)
+        assert empty_message_plan(2, 2) is plan
+        assert empty_message_plan(3, 2) is not plan
+        arrays = [plan.node_ids, plan.node_relations, plan.hops]
+        for layer in plan.layers:
+            arrays += [layer.edges, layer.update_nodes]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 7
 
 
 class TestFullGraphPlan:

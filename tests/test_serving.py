@@ -624,6 +624,29 @@ class TestMetricsEndpoint:
         finally:
             app.close()
 
+    def test_topk_reports_empty_subgraph_share(self, family_graph, obs_registry):
+        # Entities 6-8 form a component of their own, so their candidates'
+        # K-hop frontiers never meet the anchor's.
+        triples = list(family_graph.triples) + [(6, 0, 7), (7, 1, 8)]
+        graph = KnowledgeGraph(TripleSet(triples), num_entities=9, num_relations=7)
+        app = ServingApp(
+            _registry(graph), graph, ServingConfig(default_model="rmpi", max_wait_ms=1.0)
+        ).start()
+        try:
+            payload = {
+                "relation": 0,
+                "head": 0,
+                "candidates": [1, 2, 6, 7, 8],
+                "exclude_known": False,
+            }
+            status, _ = app.handle("POST", "/topk", payload)
+            assert status == 200
+            _, snap = app.handle("GET", "/metrics")
+            assert snap["counters"]["prepare.subgraphs"] == 5
+            assert snap["counters"]["prepare.empty_subgraphs"] == 3
+        finally:
+            app.close()
+
     @pytest.mark.parallel
     @pytest.mark.skipif(not fork_available(), reason="requires fork start method")
     def test_metrics_match_shim_under_scoring_workers(
