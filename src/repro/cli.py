@@ -97,15 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-wait-ms", type=float, default=2.0)
     serve.add_argument("--cache-size", type=int, default=65536)
     serve.add_argument(
-        "--workers", type=int, default=1,
-        help="scoring worker processes behind the micro-batching scheduler "
-        "(1 = in-process scoring)",
-    )
-    serve.add_argument(
-        "--no-fused", action="store_true",
-        help="score through the per-sample path instead of the fused batch forward",
-    )
-    serve.add_argument(
         "--max-queue-depth", type=int, default=256,
         help="admission watermark: more waiting requests than this are shed "
         "with HTTP 503 + Retry-After (0 = unbounded)",
@@ -241,8 +232,6 @@ def cmd_serve(args: argparse.Namespace) -> str:
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
         cache_size=args.cache_size,
-        use_fused=not args.no_fused,
-        workers=args.workers,
         max_queue_depth=args.max_queue_depth or None,
         retry_after_s=args.retry_after_s,
         request_deadline_s=args.request_deadline_s or None,
@@ -260,9 +249,7 @@ def cmd_serve(args: argparse.Namespace) -> str:
         f"[{summary['graph']['fingerprint'][:12]}]",
         f"  micro-batching: max_batch_size={config.max_batch_size} "
         f"max_wait_ms={config.max_wait_ms}",
-        f"  score cache: {config.cache_size} entries, "
-        f"fused scoring: {config.use_fused}",
-        f"  scoring workers: {config.workers}",
+        f"  score cache: {config.cache_size} entries",
         f"  admission: max_queue_depth={config.max_queue_depth} "
         f"retry_after_s={config.retry_after_s} "
         f"request_deadline_s={config.request_deadline_s}",

@@ -7,23 +7,34 @@ them a common API:
 * ``prepare(graph, triple)``      — model-specific sample construction
   (extraction, transformation, plan compilation);
 * ``score_sample(sample)``        — differentiable scoring of one sample;
-* ``score_batch(graph, triples)`` — stacked scores as a 1-D tensor;
+* ``score_batch(graph, triples)`` — the one differentiable batch entry
+  point, an ``(n, 1)`` tensor.  Here it is batched prepare plus one
+  :meth:`score_sample` per triple, which GraIL, TACT and CoMPILE use;
+  RMPI overrides it with one disjoint-union message-passing pass;
 * ``score_triples(graph, triples)`` — plain ``np.ndarray`` scores in eval
   mode (the evaluation protocols' entry point).
 
-Samples are memoised per ``(graph, triple)`` for training only: the
-differentiable entry points (``score_batch``/``score_batch_fused``) go
-through :meth:`SubgraphScoringModel.prepared_many`, because epochs revisit
-the same positives (a third of training lookups hit on the perfbench
-``train`` workload).  Scoring prepares afresh: ranking candidates and
-served queries almost never repeat (2% of evaluation lookups hit, none on
-either serving workload), so a memo there would only hold dead samples.
+Samples are memoised per ``(graph, triple)`` for training only:
+``score_batch`` goes through :meth:`SubgraphScoringModel.prepared_many`,
+because epochs revisit the same positives (a third of training lookups hit
+on the perfbench ``train`` workload).  Scoring prepares afresh: ranking
+candidates and served queries almost never repeat (2% of evaluation
+lookups hit, none on either serving workload), so a memo there would only
+hold dead samples.
+
+Each model counts how scoring work arrives under its
+:attr:`~SubgraphScoringModel.metrics_namespace` in the :mod:`repro.obs`
+registry: ``<namespace>.batch_calls`` (scoring calls),
+``<namespace>.triples_scored`` (triples across them) and the
+``<namespace>.largest_batch`` high-water gauge.  The serving scheduler is
+checked against them (N coalesced requests are one ``batch_calls``), and
+``GET /metrics`` exposes them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,64 +51,6 @@ from repro.obs import get_registry
 _MODEL_SEQ = itertools.count()
 
 
-class ScoringStats:
-    """Compatibility shim over the :mod:`repro.obs` metrics registry.
-
-    Counts how work arrives at a model: ``batch_calls`` is the number of
-    batched scoring invocations, ``triples_scored`` the total triples across
-    them, ``largest_batch`` the biggest single call.  The serving layer's
-    micro-batching scheduler is validated against these counters (N
-    coalesced requests must show up as *one* ``batch_calls`` increment).
-
-    The counts live in the process-wide registry under
-    ``model.<namespace>.*`` (counters for the first two, a high-water
-    gauge for ``largest_batch``), so the same numbers surface on the
-    serving ``GET /metrics`` endpoint — including work done inside
-    ``repro.parallel`` worker processes, whose registry deltas merge back
-    under the identical names.  The attribute API is unchanged from the
-    pre-registry dataclass; prefer :meth:`snapshot` deltas over
-    :meth:`reset` when asserting on a model shared across tests.
-    """
-
-    __slots__ = ("namespace",)
-
-    def __init__(self, namespace: str) -> None:
-        self.namespace = namespace
-
-    def record(self, batch_size: int) -> None:
-        registry = get_registry()
-        registry.counter(f"{self.namespace}.batch_calls").inc()
-        registry.counter(f"{self.namespace}.triples_scored").inc(batch_size)
-        registry.gauge(f"{self.namespace}.largest_batch").set_max(batch_size)
-
-    @property
-    def batch_calls(self) -> int:
-        return int(get_registry().counter_value(f"{self.namespace}.batch_calls"))
-
-    @property
-    def triples_scored(self) -> int:
-        return int(
-            get_registry().counter_value(f"{self.namespace}.triples_scored")
-        )
-
-    @property
-    def largest_batch(self) -> int:
-        return int(get_registry().gauge_value(f"{self.namespace}.largest_batch"))
-
-    def snapshot(self) -> Dict[str, int]:
-        """Point-in-time copy — subtract two snapshots to assert on the
-        work a specific code path did, without resetting shared state."""
-        return {
-            "batch_calls": self.batch_calls,
-            "triples_scored": self.triples_scored,
-            "largest_batch": self.largest_batch,
-        }
-
-    def reset(self) -> None:
-        """Zero only this model's namespace in the process registry."""
-        get_registry().reset(prefix=f"{self.namespace}.")
-
-
 class SubgraphScoringModel(Module):
     """Base class: memoised prepare + batch scoring over subgraph samples."""
 
@@ -105,7 +58,7 @@ class SubgraphScoringModel(Module):
         super().__init__()
         self._sample_cache: Dict[Tuple[int, Triple], Any] = {}
         self._cached_graphs: Dict[int, KnowledgeGraph] = {}
-        self.scoring_stats = ScoringStats(f"model.m{next(_MODEL_SEQ)}")
+        self.metrics_namespace = f"model.m{next(_MODEL_SEQ)}"
 
     # ------------------------------------------------------------------
     def prepare(self, graph: KnowledgeGraph, triple: Triple) -> Any:
@@ -206,7 +159,8 @@ class SubgraphScoringModel(Module):
 
     # ------------------------------------------------------------------
     def score_batch(self, graph: KnowledgeGraph, triples: Sequence[Triple]) -> Tensor:
-        """Differentiable scores for a batch, shape ``(n, 1)``."""
+        """Differentiable scores for a batch, shape ``(n, 1)``: memoised
+        batched prepare, then one :meth:`score_sample` per triple."""
         scores: List[Tensor] = [
             self.score_sample(sample) for sample in self.prepared_many(graph, triples)
         ]
@@ -214,18 +168,13 @@ class SubgraphScoringModel(Module):
             return scores[0]
         return ops.concat(scores, axis=0)
 
-    def score_batch_fused(
-        self, graph: KnowledgeGraph, triples: Sequence[Triple]
-    ) -> Tensor:
-        """Differentiable batched scores through the fastest available path.
-
-        The generic fallback is :meth:`score_batch` — batched (memoised)
-        prepare followed by per-sample scoring — so every model supports
-        fused training (``TrainingConfig.use_fused_scoring``, on by
-        default).  Models with a true disjoint-union fused forward (RMPI)
-        override this with a single merged message-passing pass.
-        """
-        return self.score_batch(graph, triples)
+    def record_scoring(self, batch_size: int) -> None:
+        """Count one scoring call of ``batch_size`` triples under
+        :attr:`metrics_namespace`."""
+        registry = get_registry()
+        registry.counter(f"{self.metrics_namespace}.batch_calls").inc()
+        registry.counter(f"{self.metrics_namespace}.triples_scored").inc(batch_size)
+        registry.gauge(f"{self.metrics_namespace}.largest_batch").set_max(batch_size)
 
     def score_triples(self, graph: KnowledgeGraph, triples: Sequence[Triple]) -> np.ndarray:
         """Numpy scores in eval mode (no dropout, no graph recording).
@@ -235,7 +184,7 @@ class SubgraphScoringModel(Module):
         models batch it through :meth:`prepare_many` (not memoised).
         """
         triples = list(triples)
-        self.scoring_stats.record(len(triples))
+        self.record_scoring(len(triples))
         was_training = self.training
         self.eval()
         try:

@@ -304,7 +304,7 @@ class RMPI(SubgraphScoringModel):
 
         return self.head(enclosing, disclosing, entity_clue)
 
-    def score_batch_fused(self, graph: KnowledgeGraph, triples) -> Tensor:
+    def score_batch(self, graph: KnowledgeGraph, triples) -> Tensor:
         """Prepare (memoised for training, batch-extracted) and score in one
         fused pass."""
         return self.score_samples_batched(self.prepared_many(graph, list(triples)))
@@ -319,7 +319,7 @@ class RMPI(SubgraphScoringModel):
         what makes coalescing concurrent queries into micro-batches pay off.
         """
         triples = list(triples)
-        self.scoring_stats.record(len(triples))
+        self.record_scoring(len(triples))
         was_training = self.training
         self.eval()
         try:

@@ -327,11 +327,15 @@ class KnowledgeGraph:
         max_hops: int,
         forbidden: Optional[Set[int]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized BFS: ``(nodes, dists)`` sorted by entity id.
+        """Shortest undirected distances from ``source`` up to ``max_hops``,
+        as ``(nodes, dists)`` sorted by entity id.
 
-        Boolean-mask frontier expansion over the CSR arrays; semantics match
-        :meth:`khop_distances` (``forbidden`` entities are recorded when
-        reached but never expanded through; the source always expands).
+        Boolean-mask frontier expansion over the CSR arrays.  The source
+        is always reported at distance 0 and always expands.
+        ``forbidden`` entities are recorded when reached but never expanded
+        *through*, which implements the paper's "without counting any path
+        through v" rule of GraIL's double-radius labeling.  Forbidden ids
+        outside the entity range are ignored.
         """
         source = self._check_entity(source)
         self._ensure_csr()
@@ -361,27 +365,6 @@ class KnowledgeGraph:
         nodes = np.flatnonzero(dist >= 0)
         return nodes, dist[nodes]
 
-    def khop_distances(
-        self,
-        source: int,
-        max_hops: int,
-        forbidden: Optional[Set[int]] = None,
-    ) -> Dict[int, int]:
-        """Shortest undirected distances from ``source`` up to ``max_hops``.
-
-        ``forbidden`` entities are never expanded *through* (they are not
-        enqueued), implementing the paper's "without counting any path
-        through v" rule used by GraIL's double-radius labeling.
-        The source itself is always reported at distance 0.
-        """
-        nodes, dists = self.khop_distance_arrays(source, max_hops, forbidden)
-        return dict(zip(nodes.tolist(), dists.tolist()))
-
-    def khop_neighbors(self, source: int, max_hops: int) -> Set[int]:
-        """Entities within ``max_hops`` undirected hops of ``source``
-        (paper's N^K, source included)."""
-        return set(self.khop_nodes(source, max_hops).tolist())
-
     def khop_nodes(self, source: int, max_hops: int) -> np.ndarray:
         """Sorted int64 array of entities within ``max_hops`` of ``source``.
 
@@ -398,11 +381,19 @@ class KnowledgeGraph:
 
     # ------------------------------------------------------------------
     def induced_edge_id_array(self, nodes: np.ndarray) -> np.ndarray:
-        """Sorted edge ids with head AND tail in ``nodes`` (sorted, valid)."""
+        """Sorted edge ids with head AND tail in ``nodes``.
+
+        ``nodes`` must be sorted and unique.  An id outside
+        ``[0, num_entities)`` raises ``ValueError`` (like
+        :meth:`incident_edges`); sorting makes the two ends the only ids
+        to check.
+        """
         self._ensure_csr()
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
             return _EMPTY_IDS
+        self._check_entity(int(nodes[0]))
+        self._check_entity(int(nodes[-1]))
         if self._entity_scratch is None:
             self._entity_scratch = np.zeros(self.num_entities, dtype=bool)
         mask = self._entity_scratch
@@ -421,27 +412,6 @@ class KnowledgeGraph:
         keep = mask[array[candidates, 0]] & mask[array[candidates, 2]]
         mask[nodes] = False
         return candidates[keep]
-
-    def induced_edge_indices(self, entities: Set[int]) -> List[int]:
-        """Indices of edges whose head AND tail are both in ``entities``.
-
-        Every id must lie in ``[0, num_entities)``; out-of-range ids raise
-        ``ValueError`` (consistently with :meth:`incident_edges`).
-        """
-        if not entities:
-            return []
-        ids = np.fromiter((int(e) for e in entities), dtype=np.int64)
-        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= self.num_entities):
-            bad = int(ids.min()) if int(ids.min()) < 0 else int(ids.max())
-            raise ValueError(
-                f"entity id {bad} out of range [0, {self.num_entities})"
-            )
-        return self.induced_edge_id_array(np.unique(ids)).tolist()
-
-    def induced_subgraph_triples(self, entities: Set[int]) -> TripleSet:
-        return TripleSet.from_trusted_array(
-            self.triples.array[self.induced_edge_indices(entities)]
-        )
 
     # ------------------------------------------------------------------
     def relations_of(self, entity: int) -> Set[int]:

@@ -1,17 +1,19 @@
 """`repro.parallel` — multi-process execution layer.
 
-Three entry points over one fork-based, rank-addressed
-:class:`~repro.parallel.pool.WorkerPool` (heavy read-only state — graph,
-model, registry — is inherited copy-on-write; only payloads and results
-are pickled):
+Two entry points over one fork-based, rank-addressed
+:class:`~repro.parallel.pool.WorkerPool` (heavy read-only state — graph
+and model — is inherited copy-on-write; only payloads and results are
+pickled):
 
 * :class:`~repro.parallel.trainer.DataParallelTrainer` — per-batch
   gradient sharding with a parameter-server average before the Adam step;
 * :class:`~repro.parallel.evaluation.ParallelEvaluator` — ranking/
   classification protocols with per-query scoring fanned across workers
-  (bitwise-identical metrics);
-* :func:`~repro.parallel.serving.scoring_pool` — the serving session's
-  worker-pool scoring backend behind the micro-batching scheduler.
+  (bitwise-identical metrics).
+
+Serving scores in the server process.  A two-worker scoring pool behind
+the micro-batching scheduler served cold ``/topk`` queries at a median of
+91/s against 102/s in-process (2 vCPUs, 6 pairs), so there is none.
 
 ``workers=1`` everywhere means *no* processes and the untouched serial
 code path.  Determinism: per-rank RNG streams are pinned from
@@ -35,7 +37,6 @@ from repro.parallel.pool import (
     register_op,
     usable_cpus,
 )
-from repro.parallel.serving import known_keys, score_batch_sharded, scoring_pool
 from repro.parallel.sharding import (
     merge_shards,
     pack_triples,
@@ -53,15 +54,12 @@ __all__ = [
     "WorkerError",
     "WorkerPool",
     "fork_available",
-    "known_keys",
     "merge_shards",
     "pack_triples",
     "reduce_gradients",
     "register_op",
-    "score_batch_sharded",
     "score_query_lists",
     "score_triples_sharded",
-    "scoring_pool",
     "shard_list",
     "shard_sizes",
     "unpack_triples",

@@ -4,9 +4,9 @@ Design
 ------
 ``WorkerPool`` starts ``workers`` persistent processes with the ``fork``
 start method.  Heavy read-only state (the :class:`KnowledgeGraph`, the
-model, the serving registry) is handed to the children *by inheritance*: it
-is stashed in a module global immediately before forking, so children see
-it copy-on-write without ever pickling a graph or a model.  Only task
+model) is handed to the children *by inheritance*: it is stashed in a
+module global immediately before forking, so children see it copy-on-write
+without ever pickling a graph or a model.  Only task
 payloads (triples, parameter arrays) and results (samples, scores,
 gradients) cross the process boundary.
 
@@ -23,8 +23,8 @@ and determinism suites rely on:
 Operations are plain functions registered with :func:`register_op`; they
 receive a per-worker ``state`` dict (``context`` + ``rank`` + ``rng``) and
 the payload.  Consumer modules (:mod:`repro.parallel.trainer`,
-:mod:`repro.parallel.evaluation`, :mod:`repro.parallel.serving`) register
-theirs at import time, which the forked children inherit.
+:mod:`repro.parallel.evaluation`) register theirs at import time, which
+the forked children inherit.
 
 ``workers=1`` (the default everywhere) never forks: ops run inline in the
 parent through the very same dispatch path, so the serial configuration is
@@ -71,9 +71,8 @@ its idle threads busy-wait on the cores the ranks need: two ranks with two
 BLAS threads each ran data-parallel training at about half the serial rate
 on 2 CPUs.  One thread is enough because the matrices are
 ``embed_dim``-sized; serial training ran equally fast with 1 and 2.  Open
-forked pools are reference-counted (a serving scoring pool and a
-:class:`~repro.parallel.evaluation.ParallelEvaluator` can overlap), and
-the last :meth:`WorkerPool.close` restores the parent's previous count.
+forked pools are reference-counted (several may be open at once), and the
+last :meth:`WorkerPool.close` restores the parent's previous count.
 Inline pools never touch it.  Without a mapped OpenBLAS the pin is a
 no-op (see :mod:`repro.parallel.blas`).
 """
@@ -100,9 +99,9 @@ from repro.utils.seeding import worker_rng
 _FORK_CONTEXT: Optional[Dict[str, Any]] = None
 
 #: Serialises every write/fork cycle on :data:`_FORK_CONTEXT`.  Two pools
-#: in one process — a serving scoring pool plus a ParallelEvaluator, or a
-#: supervisor respawn racing another pool's start — would otherwise race
-#: on the module global and could fork a child with the *wrong* context.
+#: in one process — two pools starting together, or a supervisor respawn
+#: racing another pool's start — would otherwise race on the module
+#: global and could fork a child with the *wrong* context.
 _FORK_LOCK = threading.Lock()
 
 #: Forked pools currently open, and the parent's BLAS thread count from
@@ -263,7 +262,7 @@ class WorkerPool:
     workers:
         Number of ranks.  ``1`` runs every op inline (no processes).
     context:
-        Read-only objects the ops need (graph, model, registry ...).
+        Read-only objects the ops need (graph, model ...).
         Inherited by fork — mutations after construction are NOT visible
         to the workers; ship mutable state (e.g. parameters) in payloads.
     seed:
@@ -316,8 +315,8 @@ class WorkerPool:
         # dispatched to rank 2" deterministically.
         self._dispatch_counts: Dict[Tuple[str, int], int] = {}
         # One dispatch at a time: task ids are per-call and the results
-        # queue is shared, so overlapping run() calls (e.g. the scheduler
-        # thread and a direct session.score) must serialise here.
+        # queue is shared, so overlapping run() calls (e.g. from two
+        # threads sharing one pool) must serialise here.
         self._run_lock = threading.Lock()
         if not self._inline:
             _budget_cpus(opening=True)

@@ -7,9 +7,10 @@ engine:
    as the serial :class:`~repro.train.trainer.Trainer`, so the data order
    is identical for a given seed);
 2. the positive/negative pairs are split into contiguous shards, one per
-   rank; each worker loads the broadcast parameters, runs the fused
-   one-pass forward/backward on its shard, and ships back
-   ``(loss, num_pairs, gradients)``;
+   rank; each worker loads the broadcast parameters, runs the serial
+   step's one-pass forward/backward
+   (:func:`~repro.train.trainer.margin_step_loss`) on its shard, and
+   ships back ``(loss, num_pairs, gradients)``;
 3. the parent reduces the shard gradients with a pair-count-weighted
    average, which reconstructs the full-batch gradient of the mean-reduced
    margin loss exactly (up to float summation order):
@@ -34,10 +35,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import clip_grad_norm, margin_ranking_loss
+# margin_ranking_loss is kept as a module attribute: perfbench's traced
+# runs wrap it here as well as in repro.train.trainer.
+from repro.autograd import clip_grad_norm, margin_ranking_loss  # noqa: F401
 from repro.parallel.pool import WorkerPool, register_op
 from repro.parallel.sharding import pack_triples, shard_list, unpack_triples
-from repro.train.trainer import Trainer, TrainingHistory
+from repro.train.trainer import Trainer, TrainingHistory, margin_step_loss
 
 
 @register_op("train_step")
@@ -45,9 +48,9 @@ def _train_step_op(state: Dict[str, Any], payload: Dict[str, Any]) -> Dict[str, 
     """Worker side of one data-parallel step: forward/backward on a shard.
 
     Loads the broadcast state dict, scores the shard's positives and
-    negatives (one merged pass when ``one_pass`` — the same layout as the
-    serial step), backpropagates the shard's mean-reduced margin loss and
-    returns the gradients inline.
+    negatives in one merged pass (the serial step's
+    :func:`~repro.train.trainer.margin_step_loss`), backpropagates the
+    shard's mean-reduced margin loss and returns the gradients inline.
     """
     positives = unpack_triples(payload["positives"])
     negatives = unpack_triples(payload["negatives"])
@@ -58,15 +61,7 @@ def _train_step_op(state: Dict[str, Any], payload: Dict[str, Any]) -> Dict[str, 
     model.load_state_dict(payload["params"])
     model.train()
     model.zero_grad()
-    score_fn = model.score_batch_fused if payload["use_fused"] else model.score_batch
-    if payload["one_pass"]:
-        scores = score_fn(graph, list(positives) + list(negatives))
-        pos_scores = scores[: len(positives)]
-        neg_scores = scores[len(positives) :]
-    else:
-        pos_scores = score_fn(graph, positives)
-        neg_scores = score_fn(graph, negatives)
-    loss = margin_ranking_loss(pos_scores, neg_scores, margin=payload["margin"])
+    loss = margin_step_loss(model, graph, positives, negatives, payload["margin"])
     loss.backward()
     return {
         "loss": float(loss.data),
@@ -174,8 +169,6 @@ class DataParallelTrainer(Trainer):
                 "positives": pack_triples(pos_shard),
                 "negatives": pack_triples(neg_shard),
                 "margin": config.margin,
-                "use_fused": config.use_fused_scoring,
-                "one_pass": config.one_pass_step,
             }
             for pos_shard, neg_shard in zip(pos_shards, neg_shards)
         ]

@@ -8,8 +8,9 @@ keeps accepting more for up to ``max_wait_ms`` (classic size-or-deadline
 micro-batching), then dispatches ONE
 :meth:`~repro.serve.session.InferenceSession.score` call per distinct
 model in the batch.  N coalesced same-model requests therefore reach the
-model as a single batched ``score_triples`` invocation — asserted in the
-tests via the model's :class:`~repro.core.base.ScoringStats` counter.
+model as a single batched scoring call — asserted in the tests via the
+model's ``<metrics_namespace>.batch_calls`` counter in the
+:mod:`repro.obs` registry (see :mod:`repro.core.base`).
 
 The single worker also serialises all model access, which is what makes
 the numpy models (train/eval toggling) safe to drive from the threaded

@@ -55,11 +55,7 @@ class ServingConfig:
     max_batch_size: int = 64
     max_wait_ms: float = 2.0
     cache_size: int = DEFAULT_SCORE_CACHE_SIZE
-    use_fused: bool = True
     request_timeout_s: float = 60.0
-    # Worker-pool scoring backend (repro.parallel): >1 shards each
-    # coalesced micro-batch's cache misses across forked scoring workers.
-    workers: int = 1
     # Admission control: more than this many requests waiting → 503 with a
     # Retry-After of ``retry_after_s``.  None accepts unboundedly.
     max_queue_depth: Optional[int] = 256
@@ -122,7 +118,6 @@ class ServingApp:
             graph,
             default_model=self.config.default_model,
             cache_size=self.config.cache_size,
-            use_fused=self.config.use_fused,
         )
         self.scheduler = MicroBatchScheduler(
             self.session,
@@ -131,20 +126,6 @@ class ServingApp:
             max_queue_depth=self.config.max_queue_depth,
             retry_after_s=self.config.retry_after_s,
         )
-        if self.config.workers > 1:
-            # Fork the scoring workers now, while every model registered so
-            # far is visible; the session snapshots the registry keys and
-            # scores later registrations serially.
-            from repro.parallel.serving import scoring_pool
-
-            self.session.attach_scoring_pool(
-                scoring_pool(
-                    registry,
-                    self.session.graph,
-                    self.config.workers,
-                    use_fused=self.config.use_fused,
-                )
-            )
 
     # ------------------------------------------------------------------
     def start(self) -> "ServingApp":
@@ -153,7 +134,6 @@ class ServingApp:
 
     def close(self) -> None:
         self.scheduler.close()
-        self.session.detach_scoring_pool(close=True)
 
     def describe(self) -> Dict[str, Any]:
         """Startup/dry-run summary (also the CLI's ``serve --dry-run``)."""

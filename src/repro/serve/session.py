@@ -9,13 +9,13 @@ pool and known-fact set, and fronts every model with a shared bounded LRU
 ``(model_key, graph_fingerprint, triple)`` — swapping the graph via
 :meth:`set_graph` therefore invalidates all cached scores.
 
-Scoring semantics match the offline evaluation protocol exactly: with
-``use_fused=False`` a query takes the very same
-``model.score_triples`` path as
-:func:`repro.eval.protocol.evaluate_entity_prediction`; the default
-``use_fused=True`` routes batches through the model's fused
-disjoint-union forward when it has one (``score_triples_fused``),
-equivalent within float round-off but much faster on coalesced batches.
+Cache misses are scored through the model's disjoint-union forward
+(``score_triples_fused``) when it has one, and through ``score_triples``
+otherwise.  That is what the model can do, not a setting.  The fused
+forward equals ``score_triples`` (the offline evaluation path) within float
+round-off and is much faster on coalesced batches; a model without one
+(GraIL, TACT, CoMPILE) serves exactly the ``score_triples`` scores of
+:func:`repro.eval.protocol.evaluate_entity_prediction`.
 """
 
 from __future__ import annotations
@@ -71,57 +71,24 @@ class InferenceSession:
         graph: KnowledgeGraph,
         default_model: Optional[str] = None,
         cache_size: int = DEFAULT_SCORE_CACHE_SIZE,
-        use_fused: bool = True,
     ) -> None:
         self.registry = registry
         self.default_model = default_model
-        self.use_fused = use_fused
         self.cache = ScoreCache(cache_size)
         self.graph: KnowledgeGraph = None  # type: ignore[assignment]
         self._pool: List[int] = []
         self._known: set = set()
-        # Optional worker-pool scoring backend (repro.parallel.serving):
-        # attached by the serving app when its config asks for workers > 1.
-        self.scoring_pool = None
-        self._pool_keys: frozenset = frozenset()
         self.set_graph(graph)
 
     # ------------------------------------------------------------------
     def set_graph(self, graph: KnowledgeGraph) -> None:
         """Swap the served graph: warm its indices, rebuild the candidate
         pool/known facts, and drop every score cached against the old one
-        (new fingerprint ⇒ old keys can never be hit again).  A worker-pool
-        backend is detached AND closed — its forked workers still hold the
-        old graph, so they can never serve this session again; scoring
-        runs serially until a fresh pool is attached
-        (:meth:`attach_scoring_pool`)."""
+        (new fingerprint ⇒ old keys can never be hit again)."""
         self.graph = graph.warm()
         self._pool = candidate_entity_pool(graph)
         self._known = known_fact_set(graph)
         self.cache.clear()
-        self.detach_scoring_pool(close=True)
-
-    # ------------------------------------------------------------------
-    def attach_scoring_pool(self, pool) -> None:
-        """Fan cache-miss scoring across ``pool`` (see
-        :func:`repro.parallel.serving.scoring_pool`).
-
-        The pool's forked workers hold a snapshot of the registry: models
-        registered afterwards are scored serially (guarded by the key
-        snapshot taken here), never dispatched to workers that cannot
-        resolve them.
-        """
-        from repro.parallel.serving import known_keys
-
-        self.scoring_pool = pool
-        self._pool_keys = known_keys(self.registry)
-
-    def detach_scoring_pool(self, close: bool = False) -> None:
-        pool = self.scoring_pool
-        self.scoring_pool = None
-        self._pool_keys = frozenset()
-        if close and pool is not None:
-            pool.close()
 
     def resolve_model(self, spec: Optional[str] = None) -> RegisteredModel:
         return self.registry.resolve(spec or self.default_model)
@@ -148,27 +115,15 @@ class InferenceSession:
                 missing.setdefault(triple, []).append(position)
         if missing:
             batch = list(missing)
-            pool = self.scoring_pool
-            if (
-                pool is not None
-                and entry.key in self._pool_keys
-                and len(batch) >= pool.workers
-            ):
-                from repro.parallel.serving import score_batch_sharded
-
-                fresh = score_batch_sharded(pool, entry.key, batch)
-            else:
-                scorer = (
-                    entry.model.score_triples_fused
-                    if self.use_fused and hasattr(entry.model, "score_triples_fused")
-                    else entry.model.score_triples
-                )
-                # Serving never backpropagates: no-grad keeps the coalesced
-                # batch forward free of autograd bookkeeping.
-                with no_grad():
-                    fresh = np.asarray(
-                        scorer(self.graph, batch), dtype=SCORE_DTYPE
-                    ).reshape(-1)
+            scorer = getattr(
+                entry.model, "score_triples_fused", entry.model.score_triples
+            )
+            # Serving never backpropagates: no-grad keeps the coalesced
+            # batch forward free of autograd bookkeeping.
+            with no_grad():
+                fresh = np.asarray(
+                    scorer(self.graph, batch), dtype=SCORE_DTYPE
+                ).reshape(-1)
             for triple, value in zip(batch, fresh):
                 self.cache.put((entry.key, fingerprint, triple), float(value))
                 for position in missing[triple]:
@@ -253,8 +208,4 @@ class InferenceSession:
             },
             "models": self.registry.describe(),
             "cache": self.cache.stats(),
-            "use_fused": self.use_fused,
-            "workers": (
-                self.scoring_pool.workers if self.scoring_pool is not None else 1
-            ),
         }

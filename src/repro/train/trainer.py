@@ -10,24 +10,26 @@ model, so each positive is prepared once and revisited by later epochs
 workload; fresh negatives mostly miss).  Validation scoring goes through
 ``score_triples``, which prepares afresh and never fills the memo.
 
-By default the step is *one-pass*: positives and negatives ride a single
-merged scoring call (one disjoint-union forward and one backward per step
-instead of two), halving the engine's graph traversals.
+Each step is *one-pass*: positives and negatives ride a single
+``score_batch`` call (on RMPI one disjoint-union forward and one backward
+per step instead of two), halving the engine's graph traversals.  The
+data-parallel trainer's workers take the same step through
+:func:`margin_step_loss`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.autograd import Adam, clip_grad_norm, margin_ranking_loss
+from repro.autograd import Adam, Tensor, clip_grad_norm, margin_ranking_loss
 from repro.core.base import SubgraphScoringModel
 from repro.eval.protocol import evaluate_triple_classification
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.sampling import negative_triples
-from repro.kg.triples import TripleSet
+from repro.kg.triples import Triple, TripleSet
 from repro.obs import get_registry, span
 from repro.utils.seeding import seeded_rng
 
@@ -78,9 +80,26 @@ class TrainingConfig:
     validate_every: int = 0  # 0 = no intra-training validation
     patience: int = 3
     seed: int = 0
-    use_fused_scoring: bool = True  # batched scoring (fused forward on RMPI)
-    one_pass_step: bool = True  # positives+negatives in ONE forward/backward
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
+
+
+def margin_step_loss(
+    model: SubgraphScoringModel,
+    graph: KnowledgeGraph,
+    positives: Sequence[Triple],
+    negatives: Sequence[Triple],
+    margin: float,
+) -> Tensor:
+    """Margin ranking loss (eq. 12) of one step.
+
+    Positives and negatives are scored in ONE ``score_batch`` call, and
+    the scores are split back into the two sides.
+    """
+    positives = list(positives)
+    scores = model.score_batch(graph, positives + list(negatives))
+    return margin_ranking_loss(
+        scores[: len(positives)], scores[len(positives) :], margin=margin
+    )
 
 
 @dataclass
@@ -191,22 +210,9 @@ class Trainer:
         (no optimiser state advanced).
         """
         config = self.config
-        score_fn = (
-            self.model.score_batch_fused
-            if config.use_fused_scoring
-            else self.model.score_batch
+        loss = margin_step_loss(
+            self.model, self.graph, batch, negatives, config.margin
         )
-        if config.one_pass_step:
-            # One merged forward/backward per step: positives and
-            # negatives ride the same (disjoint-union) scoring pass,
-            # halving the graph traversals of the two-call layout.
-            scores = score_fn(self.graph, list(batch) + list(negatives))
-            pos_scores = scores[: len(batch)]
-            neg_scores = scores[len(batch) :]
-        else:
-            pos_scores = score_fn(self.graph, batch)
-            neg_scores = score_fn(self.graph, negatives)
-        loss = margin_ranking_loss(pos_scores, neg_scores, margin=config.margin)
         self.optimizer.zero_grad()
         loss.backward()
         clip_grad_norm(self.model.parameters(), config.clip_norm)

@@ -61,7 +61,7 @@ class TestSampleMemo:
         model.score_triples_fused(bench.train_graph, triples)
         assert model.cache_size() == 0
         model.train()
-        model.score_batch_fused(bench.train_graph, triples)
+        model.score_batch(bench.train_graph, triples)
         assert model.cache_size() == len(set(triples))
 
     def test_module_walk_ignores_a_full_memo(self, family_graph):
@@ -89,17 +89,15 @@ class TestFusedTraining:
             model,
             b.train_graph,
             b.train_triples,
-            config=TrainingConfig(epochs=6, seed=0, use_fused_scoring=True),
+            config=TrainingConfig(epochs=6, seed=0),
         )
         assert history.losses[-1] < history.losses[0]
 
-    def test_fused_flag_default_and_generic_fallback(self, tiny_partial_benchmark):
-        # Fused scoring is the default now; models without a true
-        # disjoint-union forward (TACT here) train through the generic
-        # score_batch_fused fallback (batched prepare + per-sample scores).
+    def test_generic_score_batch_trains(self, tiny_partial_benchmark):
+        # Models without a disjoint-union forward (TACT here) train through
+        # the base class's score_batch (batched prepare + per-sample scores).
         from repro.baselines import TACTBase
 
-        assert TrainingConfig().use_fused_scoring is True
         b = tiny_partial_benchmark
         model = TACTBase(b.num_relations, np.random.default_rng(0), embed_dim=8)
         history = train_model(

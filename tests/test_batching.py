@@ -103,14 +103,22 @@ class TestBatchedEquivalence:
         model = RMPI(bench.num_relations, np.random.default_rng(0), config)
         model.eval()
         triples = mixed_triples(bench, 10)
-        per_sample = model.score_batch(bench.train_graph, triples).data.reshape(-1)
-        fused = model.score_batch_fused(bench.train_graph, triples).data.reshape(-1)
-        assert np.allclose(per_sample, fused, atol=1e-10)
+        per_sample = np.concatenate(
+            [
+                model.score_sample(sample).data.reshape(-1)
+                for sample in model.prepare_many(bench.train_graph, triples)
+            ]
+        )
+        fused = model.score_batch(bench.train_graph, triples).data.reshape(-1)
+        # The merged pass sums in a different order than one tiny forward
+        # per sample: a few ulp of the score dtype, relative and absolute.
+        ulps = 8 * np.finfo(fused.dtype).eps
+        np.testing.assert_allclose(fused, per_sample, rtol=ulps, atol=ulps)
 
     def test_gradients_flow_through_fused_path(self, bench, config):
         model = RMPI(bench.num_relations, np.random.default_rng(0), config)
         model.eval()
-        scores = model.score_batch_fused(bench.train_graph, some_triples(bench, 4))
+        scores = model.score_batch(bench.train_graph, some_triples(bench, 4))
         scores.sum().backward()
         assert any(p.grad is not None for p in model.parameters())
 

@@ -308,13 +308,14 @@ class TestCLI:
                 "16",
                 "--max-wait-ms",
                 "5",
-                "--no-fused",
+                "--cache-size",
+                "128",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "GraIL" in out and "max_batch_size=16" in out
-        assert "fused scoring: False" in out
+        assert "max_wait_ms=5.0" in out and "score cache: 128 entries" in out
 
     def test_serve_dry_run_from_checkpoint(self, tmp_path, capsys):
         from repro.experiments import make_model

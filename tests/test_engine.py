@@ -80,10 +80,10 @@ class TestNoGrad:
         model = make_model(bench)
         model.eval()
         triples = list(bench.train_triples)[:4]
-        in_grad_mode = model.score_batch_fused(bench.train_graph, triples)
+        in_grad_mode = model.score_batch(bench.train_graph, triples)
         assert in_grad_mode._backward_fn is not None
         with no_grad():
-            graph_free = model.score_batch_fused(bench.train_graph, triples)
+            graph_free = model.score_batch(bench.train_graph, triples)
         assert graph_free._backward_fn is None
         assert not graph_free.requires_grad
         np.testing.assert_array_equal(in_grad_mode.data, graph_free.data)
@@ -140,7 +140,7 @@ class TestDtypePolicy:
         bench = tiny_partial_benchmark
         model = make_model(bench, use_disclosing=True)
         model.eval()
-        scores = model.score_batch_fused(
+        scores = model.score_batch(
             bench.train_graph, list(bench.train_triples)[:3]
         )
         assert scores.data.dtype == np.float32
@@ -218,20 +218,22 @@ class TestOptimizerFastPaths:
 
 
 class TestOnePassTrainingStep:
-    def test_matches_two_pass_losses(self, tiny_partial_benchmark):
+    def test_one_call_matches_two_calls(self, tiny_partial_benchmark):
+        # A training step scores positives and negatives in ONE score_batch
+        # call; in eval mode that equals scoring the two sides apart.
         bench = tiny_partial_benchmark
-
-        def run(one_pass):
-            model = make_model(bench, seed=3)
-            history = train_model(
-                model,
-                bench.train_graph,
-                bench.train_triples,
-                config=TrainingConfig(epochs=2, seed=3, one_pass_step=one_pass),
-            )
-            return history.losses
-
-        np.testing.assert_allclose(run(True), run(False), rtol=1e-3)
+        model = make_model(bench, seed=3, use_disclosing=True)
+        model.eval()
+        triples = list(bench.train_triples)
+        positives, negatives = triples[:6], triples[6:12]
+        together = model.score_batch(bench.train_graph, positives + negatives)
+        apart = np.concatenate(
+            [
+                model.score_batch(bench.train_graph, positives).data,
+                model.score_batch(bench.train_graph, negatives).data,
+            ]
+        )
+        np.testing.assert_allclose(together.data, apart, **score_tolerance())
 
     def test_loss_decreases_with_one_pass(self, tiny_partial_benchmark):
         bench = tiny_partial_benchmark
@@ -240,7 +242,7 @@ class TestOnePassTrainingStep:
             model,
             bench.train_graph,
             bench.train_triples,
-            config=TrainingConfig(epochs=6, seed=0, one_pass_step=True),
+            config=TrainingConfig(epochs=6, seed=0),
         )
         assert history.losses[-1] < history.losses[0]
 
@@ -271,7 +273,7 @@ class TestSegmentDtypeSatellites:
         )
         # A float64 model stays float64 end to end (no float32 zero-row
         # contamination); score_triples reports float64 regardless.
-        fused = model.score_batch_fused(
+        fused = model.score_batch(
             bench.train_graph, list(bench.train_triples)[:3]
         )
         assert fused.data.dtype == np.float64

@@ -77,30 +77,41 @@ class TestAdjacency:
         assert g.entity_pair_relations(1, 0) == {0}
 
 
+def khop_distances(graph, source, max_hops, forbidden=None):
+    nodes, dists = graph.khop_distance_arrays(source, max_hops, forbidden)
+    return dict(zip(nodes.tolist(), dists.tolist()))
+
+
+def induced_edges(graph, entities):
+    return graph.induced_edge_id_array(np.asarray(sorted(entities), dtype=np.int64))
+
+
 class TestKHop:
     def test_distances_undirected(self, chain_graph):
-        d = chain_graph.khop_distances(0, 10)
+        d = khop_distances(chain_graph, 0, 10)
         assert d == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
     def test_max_hops_limits(self, chain_graph):
-        d = chain_graph.khop_distances(0, 2)
+        d = khop_distances(chain_graph, 0, 2)
         assert set(d) == {0, 1, 2}
 
     def test_forbidden_blocks_paths_through(self, chain_graph):
         # Forbid 2: nodes beyond 2 are unreachable from 0, though 2 itself
         # is still *reported* (entered but not expanded).
-        d = chain_graph.khop_distances(0, 10, forbidden={2})
+        d = khop_distances(chain_graph, 0, 10, forbidden={2})
         assert 3 not in d and 4 not in d
         assert d[2] == 2
 
     def test_khop_neighbors_includes_source(self, chain_graph):
-        assert 0 in chain_graph.khop_neighbors(0, 1)
+        nodes = chain_graph.khop_nodes(0, 1)
+        assert nodes.tolist() == [0, 1]
+        assert not nodes.flags.writeable
 
 
 class TestEntityIdValidation:
-    """incident_edges and induced_edge_indices reject out-of-range ids
-    consistently (negative ids used to crash obscurely / oversized ids were
-    silently skipped)."""
+    """incident_edges, induced_edge_id_array and the K-hop BFS reject
+    out-of-range ids consistently (negative ids used to crash obscurely /
+    oversized ids were silently skipped)."""
 
     def test_incident_edges_negative_id(self, chain_graph):
         with pytest.raises(ValueError, match="out of range"):
@@ -112,32 +123,36 @@ class TestEntityIdValidation:
 
     def test_induced_negative_id(self, chain_graph):
         with pytest.raises(ValueError, match="out of range"):
-            chain_graph.induced_edge_indices({0, -3})
+            induced_edges(chain_graph, {0, -3})
 
     def test_induced_oversized_id(self, chain_graph):
         with pytest.raises(ValueError, match="out of range"):
-            chain_graph.induced_edge_indices({0, 1, 99})
+            induced_edges(chain_graph, {0, 1, 99})
 
     def test_degree_and_khop_validate_too(self, chain_graph):
         with pytest.raises(ValueError, match="out of range"):
             chain_graph.degree(-2)
         with pytest.raises(ValueError, match="out of range"):
-            chain_graph.khop_distances(17, 2)
+            chain_graph.khop_distance_arrays(17, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            chain_graph.khop_nodes(17, 2)
 
     def test_empty_entity_set_is_fine(self, chain_graph):
-        assert chain_graph.induced_edge_indices(set()) == []
+        assert induced_edges(chain_graph, set()).tolist() == []
 
 
 class TestInducedSubgraph:
     def test_only_internal_edges(self, chain_graph):
-        triples = chain_graph.induced_subgraph_triples({0, 1, 2})
-        assert triples == TripleSet([(0, 0, 1), (1, 0, 2)])
+        ids = induced_edges(chain_graph, {0, 1, 2})
+        assert TripleSet.from_trusted_array(chain_graph.triples.array[ids]) == TripleSet(
+            [(0, 0, 1), (1, 0, 2)]
+        )
 
     def test_empty_for_disconnected_set(self, chain_graph):
-        assert len(chain_graph.induced_subgraph_triples({0, 4})) == 0
+        assert induced_edges(chain_graph, {0, 4}).size == 0
 
     def test_edge_indices_sorted_unique(self, chain_graph):
-        idx = chain_graph.induced_edge_indices({1, 2, 3})
+        idx = induced_edges(chain_graph, {1, 2, 3}).tolist()
         assert idx == sorted(set(idx))
 
     def test_statistics(self, chain_graph):

@@ -351,7 +351,7 @@ class TestFusedScoreParity:
             RMPIConfig(embed_dim=16, dropout=0.0, use_disclosing=True),
         )
         triples = list(b.train_triples)[:4]
-        scores = model.score_batch_fused(b.train_graph, triples)
+        scores = model.score_batch(b.train_graph, triples)
         scores.sum().backward()
         grads = [
             p.grad for p in model.parameters() if p.grad is not None

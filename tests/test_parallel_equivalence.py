@@ -7,9 +7,9 @@ out empty (fewer items than ranks):
 * data-parallel step  — equivalent gradients/parameters (float-summation
   order differs across shards, so tolerance-based; workers=1 is bitwise);
 * parallel evaluation — **bitwise** identical metrics (candidate drawing
-  stays in the parent; per-query scoring is batch-composition-independent);
-* serving pool        — fused-path scores within engine round-off, with
-  the registry-snapshot guard for late registrations.
+  stays in the parent; per-query scoring is batch-composition-independent),
+  and the same model scoring counters once the workers' metric deltas
+  merge back into the parent.
 
 Quick deterministic cases run in tier-1 (marked ``parallel``); the
 hypothesis-randomized sweeps are additionally marked ``slow`` and run in
@@ -31,19 +31,19 @@ from repro.eval.protocol import (
     evaluate_triple_classification,
 )
 from repro.kg import KnowledgeGraph, TripleSet
+from repro.obs import MetricsRegistry, get_registry
+from repro.obs import set_registry as set_obs_registry
 from repro.parallel import (
     ParallelEvaluator,
     WorkerError,
     WorkerPool,
     merge_shards,
-    pack_triples,
     reduce_gradients,
     shard_list,
     shard_sizes,
 )
-from repro.parallel.pool import register_op
+from repro.parallel.pool import fork_available, register_op
 from repro.parallel.trainer import DataParallelTrainer
-from repro.serve import ModelRegistry, ServingApp, ServingConfig
 from repro.train import ParallelConfig, TrainingConfig
 from repro.train.trainer import Trainer
 
@@ -346,6 +346,36 @@ class TestParallelEvaluation:
             )
         assert produced == reference
 
+    @pytest.mark.skipif(not fork_available(), reason="requires fork start method")
+    def test_model_counters_merge_from_workers(self, max_workers):
+        # Models are built before the fork, so each rank's scoring counts
+        # land under the parent model's namespace once the deltas merge.
+        workers = capped(2, max_workers)
+        graph = small_graph()
+        targets = TripleSet(TRIPLES[:5])
+        names = ("batch_calls", "triples_scored", "largest_batch")
+
+        def counts(model):
+            snap = get_registry().snapshot()
+            values = {**snap["counters"], **snap["gauges"]}
+            return [values[f"{model.metrics_namespace}.{name}"] for name in names]
+
+        previous = set_obs_registry(MetricsRegistry())
+        try:
+            serial = make_model()
+            evaluate_entity_prediction(
+                serial, graph, targets, np.random.default_rng(5), num_negatives=7
+            )
+            model = make_model()
+            with ParallelEvaluator(model, graph, workers=workers) as evaluator:
+                evaluator.entity_prediction(
+                    targets, np.random.default_rng(5), num_negatives=7
+                )
+            assert counts(model) == counts(serial)
+            assert counts(serial)[0] > 0
+        finally:
+            set_obs_registry(previous)
+
     @pytest.mark.slow
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -370,64 +400,3 @@ class TestParallelEvaluation:
                 targets, np.random.default_rng(seed), num_negatives=5
             )
         assert produced == reference
-
-
-# ----------------------------------------------------------------------
-class TestServingPool:
-    def _registry_and_graph(self):
-        graph = small_graph()
-        registry = ModelRegistry()
-        registry.register("rmpi", make_model())
-        return registry, graph
-
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_scores_match_serial_session(self, workers, max_workers):
-        workers = capped(workers, max_workers)
-        queries = [(0, 0, 2), (1, 2, 3), (3, 4, 0), (2, 1, 5), (4, 3, 1), (5, 6, 0)]
-        registry, graph = self._registry_and_graph()
-        serial_app = ServingApp(
-            registry, graph, ServingConfig(default_model="rmpi", workers=1)
-        )
-        reference = serial_app.session.score(queries)
-        serial_app.close()
-
-        registry2, graph2 = self._registry_and_graph()
-        app = ServingApp(
-            registry2, graph2, ServingConfig(default_model="rmpi", workers=workers)
-        )
-        assert app.session.scoring_pool is not None
-        produced = app.session.score(queries)
-        app.close()
-        np.testing.assert_allclose(produced, reference, **score_tolerance())
-
-    def test_late_registration_falls_back_to_serial(self):
-        registry, graph = self._registry_and_graph()
-        app = ServingApp(
-            registry, graph, ServingConfig(default_model="rmpi", workers=2)
-        )
-        # Registered AFTER the pool forked: invisible to workers, must be
-        # scored serially in the parent instead of erroring.
-        registry.register("late", make_model(variant_seed=1))
-        queries = [(0, 0, 2), (1, 2, 3), (3, 4, 0)]
-        produced = app.session.score(queries, model="late")
-        app.close()
-        reference = make_model(variant_seed=1).score_triples_fused(graph, queries)
-        np.testing.assert_allclose(produced, reference, **score_tolerance())
-
-    def test_set_graph_detaches_and_closes_pool(self):
-        registry, graph = self._registry_and_graph()
-        app = ServingApp(
-            registry, graph, ServingConfig(default_model="rmpi", workers=2)
-        )
-        pool = app.session.scoring_pool
-        assert pool is not None
-        app.session.set_graph(small_graph())
-        # The workers were pinned to the OLD graph: detached AND closed.
-        assert app.session.scoring_pool is None
-        with pytest.raises(RuntimeError):
-            pool.run(
-                "serve_score", [{"model": "rmpi", "triples": pack_triples([])}]
-            )
-        # Scoring still works (serially) against the new graph.
-        assert app.session.score([(0, 0, 2)]).shape == (1,)
-        app.close()

@@ -24,9 +24,9 @@ from repro.core import RMPI, RMPIConfig
 from repro.eval.protocol import candidate_entity_pool, known_fact_set
 from repro.eval.metrics import rank_of_first
 from repro.kg import KnowledgeGraph, TripleSet, ranking_candidates
-from repro.obs import MetricsRegistry
+from repro.baselines import GraIL
+from repro.obs import MetricsRegistry, get_registry
 from repro.obs import set_registry as set_obs_registry
-from repro.parallel.pool import fork_available
 from repro.serve import (
     InferenceSession,
     MicroBatchScheduler,
@@ -58,6 +58,12 @@ def _registry(graph, **kwargs):
     registry = ModelRegistry()
     registry.register("rmpi", _rmpi(graph), **kwargs)
     return registry
+
+
+def model_count(model, name):
+    """One of a model's scoring counters (``batch_calls``,
+    ``triples_scored``) in the process metrics registry."""
+    return int(get_registry().counter_value(f"{model.metrics_namespace}.{name}"))
 
 
 class TestScoreCache:
@@ -173,9 +179,9 @@ class TestScoreCacheEdgeCases:
         assert len(session.cache) == 0  # eager flush
 
         model = registry.get("rmpi").model
-        calls = model.scoring_stats.batch_calls
+        calls = model_count(model, "batch_calls")
         after = session.score(triples)
-        assert model.scoring_stats.batch_calls == calls + 1  # recomputed
+        assert model_count(model, "batch_calls") == calls + 1  # recomputed
         # New entries are keyed by the new fingerprint only; the old
         # graph's keys cannot be hit even if probed directly.
         entry = registry.get("rmpi")
@@ -186,9 +192,9 @@ class TestScoreCacheEdgeCases:
         # Swapping back restores neither scores nor cache entries silently:
         # the session re-scores against the restored graph from scratch.
         session.set_graph(family_graph)
-        calls = model.scoring_stats.batch_calls
+        calls = model_count(model, "batch_calls")
         restored = session.score(triples)
-        assert model.scoring_stats.batch_calls == calls + 1
+        assert model_count(model, "batch_calls") == calls + 1
         assert restored == pytest.approx(before)
         assert after is not None  # both graphs produced full score lists
 
@@ -259,20 +265,31 @@ class TestModelRegistry:
 
 class TestInferenceSession:
     def test_score_matches_model_path(self, family_graph):
+        # RMPI has a disjoint-union forward: the session scores through it.
         registry = _registry(family_graph)
-        session = InferenceSession(registry, family_graph, use_fused=False)
+        session = InferenceSession(registry, family_graph)
         triples = [(0, 0, 1), (2, 1, 0), (3, 4, 1)]
-        expected = registry.get("rmpi").model.score_triples(family_graph, triples)
-        assert session.score(triples) == pytest.approx(expected)
+        expected = registry.get("rmpi").model.score_triples_fused(family_graph, triples)
+        np.testing.assert_array_equal(session.score(triples), expected)
 
     def test_fused_matches_per_sample(self, family_graph):
         registry = _registry(family_graph)
-        plain = InferenceSession(registry, family_graph, use_fused=False, cache_size=0)
-        fused = InferenceSession(registry, family_graph, use_fused=True, cache_size=0)
+        session = InferenceSession(registry, family_graph, cache_size=0)
         triples = [(0, 0, 1), (2, 1, 0), (3, 4, 1), (0, 3, 4)]
-        assert fused.score(triples) == pytest.approx(
-            plain.score(triples), abs=score_tolerance()["atol"]
+        per_sample = registry.get("rmpi").model.score_triples(family_graph, triples)
+        np.testing.assert_allclose(
+            session.score(triples), per_sample, **score_tolerance()
         )
+
+    def test_model_without_fused_forward_serves_score_triples(self, family_graph):
+        registry = ModelRegistry()
+        registry.register(
+            "grail", GraIL(family_graph.num_relations, np.random.default_rng(0))
+        )
+        session = InferenceSession(registry, family_graph)
+        triples = [(0, 0, 1), (2, 1, 0), (3, 4, 1), (0, 3, 4)]
+        expected = registry.get("grail").model.score_triples(family_graph, triples)
+        np.testing.assert_array_equal(session.score(triples), expected)
 
     def test_cache_short_circuits_model(self, family_graph):
         registry = _registry(family_graph)
@@ -280,9 +297,9 @@ class TestInferenceSession:
         model = registry.get("rmpi").model
         triples = [(0, 0, 1), (2, 1, 0)]
         first = session.score(triples)
-        calls = model.scoring_stats.batch_calls
+        calls = model_count(model, "batch_calls")
         second = session.score(triples)
-        assert model.scoring_stats.batch_calls == calls  # pure cache hits
+        assert model_count(model, "batch_calls") == calls  # pure cache hits
         assert second == pytest.approx(first)
         assert session.cache.hits >= 2
 
@@ -292,7 +309,7 @@ class TestInferenceSession:
         scores = session.score([(0, 0, 1), (0, 0, 1)])
         assert scores[0] == scores[1]
         model = registry.get("rmpi").model
-        assert model.scoring_stats.triples_scored == 1
+        assert model_count(model, "triples_scored") == 1
 
     def test_set_graph_invalidates_cache(self, family_graph):
         registry = _registry(family_graph)
@@ -308,9 +325,9 @@ class TestInferenceSession:
         assert len(session.cache) == 0
         assert other.fingerprint() != family_graph.fingerprint()
         model = registry.get("rmpi").model
-        calls = model.scoring_stats.batch_calls
+        calls = model_count(model, "batch_calls")
         session.score([(0, 0, 1)])
-        assert model.scoring_stats.batch_calls == calls + 1  # re-scored
+        assert model_count(model, "batch_calls") == calls + 1  # re-scored
 
     def test_top_k_tails_excludes_known_facts(self, family_graph):
         registry = _registry(family_graph)
@@ -338,15 +355,15 @@ class TestMicroBatchScheduler:
         scheduler = MicroBatchScheduler(session, max_batch_size=64, max_wait_ms=50)
         triples = [(0, 0, 1), (2, 1, 0), (1, 2, 2), (3, 4, 1), (0, 3, 3), (1, 5, 5)]
         model = registry.get("rmpi").model
-        before = model.scoring_stats.snapshot()
+        calls = model_count(model, "batch_calls")
+        scored = model_count(model, "triples_scored")
         # Queue 6 requests before the worker runs: deterministic coalescing.
         futures = [scheduler.submit([triple]) for triple in triples]
         with scheduler:
             scores = [future.result(timeout=30) for future in futures]
-        after = model.scoring_stats.snapshot()
         # ≥ 4 concurrent requests reached the model as ONE batched call.
-        assert after["batch_calls"] - before["batch_calls"] == 1
-        assert after["triples_scored"] - before["triples_scored"] == len(triples)
+        assert model_count(model, "batch_calls") - calls == 1
+        assert model_count(model, "triples_scored") - scored == len(triples)
         assert scheduler.stats.batches == 1
         assert scheduler.stats.largest_batch_requests == len(triples)
         expected = model.score_triples(family_graph, triples)
@@ -376,7 +393,7 @@ class TestMicroBatchScheduler:
         session = InferenceSession(registry, family_graph)
         scheduler = MicroBatchScheduler(session, max_batch_size=64, max_wait_ms=50)
         model = registry.get("rmpi").model
-        before = model.scoring_stats.snapshot()
+        calls = model_count(model, "batch_calls")
         futures = [
             scheduler.submit([(0, 0, 1)], "rmpi"),
             scheduler.submit([(2, 1, 0)], None),
@@ -387,7 +404,7 @@ class TestMicroBatchScheduler:
                 future.result(timeout=30)
         assert scheduler.stats.batches == 1
         assert scheduler.stats.dispatches == 1
-        assert model.scoring_stats.snapshot()["batch_calls"] - before["batch_calls"] == 1
+        assert model_count(model, "batch_calls") - calls == 1
 
     def test_unknown_model_spec_fails_only_that_request(self, family_graph):
         registry = _registry(family_graph)
@@ -542,8 +559,8 @@ class TestMicroBatchScheduler:
 
 
 class TestMetricsEndpoint:
-    """GET /metrics: the registry snapshot must agree with the ScoringStats
-    shim and the score-cache counters, serial and under scoring workers."""
+    """GET /metrics: the registry snapshot must agree with the triples a
+    model was asked to score and with the score-cache counters."""
 
     @pytest.fixture
     def obs_registry(self):
@@ -571,14 +588,9 @@ class TestMetricsEndpoint:
         try:
             triples = [[0, 0, 1], [2, 1, 0], [1, 2, 2]]
             snap = self._score_and_scrape(app, triples)
-            stats = registry.get("rmpi").model.scoring_stats
-            ns = stats.namespace
-            assert snap["counters"][f"{ns}.batch_calls"] == stats.batch_calls >= 1
-            assert (
-                snap["counters"][f"{ns}.triples_scored"]
-                == stats.triples_scored
-                == len(triples)
-            )
+            ns = registry.get("rmpi").model.metrics_namespace
+            assert snap["counters"][f"{ns}.batch_calls"] == 1
+            assert snap["counters"][f"{ns}.triples_scored"] == len(triples)
             cache = app.session.cache
             assert snap["counters"]["serve.cache.misses"] == cache.misses == 3
             assert snap["counters"].get("serve.cache.hits", 0) == cache.hits == 0
@@ -644,38 +656,6 @@ class TestMetricsEndpoint:
             _, snap = app.handle("GET", "/metrics")
             assert snap["counters"]["prepare.subgraphs"] == 5
             assert snap["counters"]["prepare.empty_subgraphs"] == 3
-        finally:
-            app.close()
-
-    @pytest.mark.parallel
-    @pytest.mark.skipif(not fork_available(), reason="requires fork start method")
-    def test_metrics_match_shim_under_scoring_workers(
-        self, family_graph, obs_registry, max_workers
-    ):
-        if max_workers < 2:
-            pytest.skip("--workers caps the sweep below 2")
-        registry = _registry(family_graph)
-        app = ServingApp(
-            registry,
-            family_graph,
-            ServingConfig(default_model="rmpi", max_wait_ms=1.0, workers=2),
-        ).start()
-        try:
-            assert app.session.scoring_pool is not None
-            # >= workers triples so the session shards across the pool.
-            triples = [[0, 0, 1], [2, 1, 0], [1, 2, 2], [3, 4, 1]]
-            snap = self._score_and_scrape(app, triples)
-            stats = registry.get("rmpi").model.scoring_stats
-            ns = stats.namespace
-            # Models are constructed before the fork, so the per-rank shim
-            # deltas merge back under the parent's namespace.
-            assert (
-                snap["counters"][f"{ns}.triples_scored"]
-                == stats.triples_scored
-                == len(triples)
-            )
-            assert snap["counters"][f"{ns}.batch_calls"] == stats.batch_calls == 2
-            assert snap["counters"]["serve.cache.misses"] == len(triples)
         finally:
             app.close()
 
@@ -803,15 +783,7 @@ def served(trained_checkpoint):
     app = ServingApp(
         registry,
         bench.test_graph,
-        # use_fused=False: byte-identical to the offline eval scoring path,
-        # so ranking parity below is exact (fused equivalence is covered by
-        # TestInferenceSession.test_fused_matches_per_sample).
-        ServingConfig(
-            default_model="rmpi-base",
-            max_batch_size=8,
-            max_wait_ms=300.0,
-            use_fused=False,
-        ),
+        ServingConfig(default_model="rmpi-base", max_batch_size=8, max_wait_ms=300.0),
     )
     with ServingServer(app) as server:
         yield server, ServingClient(server.url), registry, bench
@@ -840,11 +812,13 @@ class TestHTTPServing:
         expected = registry.get("rmpi-base").model.score_triples(
             bench.test_graph, triples
         )
-        assert scores == pytest.approx(expected)
+        np.testing.assert_allclose(scores, expected, **score_tolerance())
 
     def test_topk_matches_offline_eval_ranking(self, served):
         """The acceptance check: a served top-k tail query ranks candidates
-        exactly as ``evaluate_entity_prediction``'s scoring path does."""
+        exactly as the served model's fused forward does, with scores equal
+        to ``evaluate_entity_prediction``'s scoring path within float
+        round-off."""
         server, client, registry, bench = served
         graph, targets = bench.test_graph, bench.test_triples
         truth = next(iter(targets))
@@ -859,12 +833,15 @@ class TestHTTPServing:
             candidate_entities=pool,
             corrupt_head=False,
         )
-        # The offline protocol's scoring path, verbatim.
         model = registry.get("rmpi-base").model
-        eval_scores = model.score_triples(graph, candidates)
-        eval_order = [
-            candidates[i][2] for i in np.argsort(-eval_scores, kind="stable")
+        fused_scores = model.score_triples_fused(graph, candidates)
+        fused_order = [
+            candidates[i][2] for i in np.argsort(-fused_scores, kind="stable")
         ]
+        # The offline protocol's scoring path, verbatim.
+        eval_scores = model.score_triples(graph, candidates)
+        # Score the whole candidate list as one batch, as the replica above.
+        server.app.session.cache.clear()
         status, body = client.request(
             "POST",
             "/topk",
@@ -878,11 +855,15 @@ class TestHTTPServing:
         )
         assert status == 200
         served_order = [row["entity"] for row in body["predictions"]]
-        assert served_order == eval_order
+        assert served_order == fused_order
+        by_entity = {row["entity"]: row["score"] for row in body["predictions"]}
+        np.testing.assert_allclose(
+            [by_entity[t[2]] for t in candidates], eval_scores, **score_tolerance()
+        )
         # The truth's served position agrees with the protocol's rank metric
         # (exact when scores are untied, which a trained model gives us).
-        if len(set(eval_scores.tolist())) == len(candidates):
-            assert served_order.index(truth[2]) + 1 == rank_of_first(eval_scores)
+        if len(set(fused_scores.tolist())) == len(candidates):
+            assert served_order.index(truth[2]) + 1 == rank_of_first(fused_scores)
 
     def test_topk_heads_endpoint(self, served):
         _, client, _, bench = served
@@ -915,14 +896,14 @@ class TestHTTPServing:
             while scheduler.queue_depth() < len(requests):
                 assert time.monotonic() < deadline, "HTTP requests never enqueued"
                 time.sleep(0.01)
-            before = model.scoring_stats.batch_calls
+            before = model_count(model, "batch_calls")
             scheduler.start()
             for thread in threads:
                 thread.join(timeout=60)
         finally:
             scheduler.start()  # leave the served fixture live for later tests
         stats = client.stats()["scheduler"]
-        assert model.scoring_stats.batch_calls - before == 1
+        assert model_count(model, "batch_calls") - before == 1
         assert stats["largest_batch_requests"] >= len(requests)
 
     def test_bad_payload_is_400(self, served):
